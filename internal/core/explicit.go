@@ -47,7 +47,7 @@ func Geometric(n int, alpha float64) (*Mechanism, error) {
 			}
 		}
 	}
-	return New("GM", n, alpha, p)
+	return adopt("GM", n, alpha, p)
 }
 
 // GeometricL0 returns GM's closed-form rescaled L0 score 2α/(1+α)
@@ -107,7 +107,7 @@ func ExplicitFair(n int, alpha float64) (*Mechanism, error) {
 			p.Set(i, j, y*math.Pow(alpha, float64(explicitFairExponent(n, i, j))))
 		}
 	}
-	return New("EM", n, alpha, p)
+	return adopt("EM", n, alpha, p)
 }
 
 // ExplicitFairY returns EM's diagonal value y: the exact normaliser of the
@@ -154,7 +154,7 @@ func Uniform(n int) (*Mechanism, error) {
 			p.Set(i, j, v)
 		}
 	}
-	return New("UM", n, 0, p)
+	return adopt("UM", n, 0, p)
 }
 
 // RandomizedResponse constructs the classic one-bit randomized response
@@ -190,7 +190,7 @@ func KRR(n int, alpha float64) (*Mechanism, error) {
 			}
 		}
 	}
-	return New("KRR", n, alpha, p)
+	return adopt("KRR", n, alpha, p)
 }
 
 // Exponential constructs McSherry–Talwar's exponential mechanism (Eq 2)
@@ -231,7 +231,7 @@ func Exponential(n int, alpha float64, quality func(input, output int) float64) 
 			p.Set(i, j, raw[i]/z)
 		}
 	}
-	return New("EXP", n, alpha, p)
+	return adopt("EXP", n, alpha, p)
 }
 
 // TruncatedLaplace constructs the rounded-and-truncated continuous Laplace
@@ -268,5 +268,5 @@ func TruncatedLaplace(n int, alpha float64) (*Mechanism, error) {
 			p.Set(i, j, v)
 		}
 	}
-	return New("LAP", n, alpha, p)
+	return adopt("LAP", n, alpha, p)
 }

@@ -42,6 +42,13 @@ var ErrInvalidMechanism = errors.New("core: invalid mechanism")
 // unknown); it is advisory — use SatisfiesDP to verify. The matrix is
 // cloned, so later changes to m do not affect the mechanism.
 func New(name string, n int, alpha float64, m *mat.Dense) (*Mechanism, error) {
+	return adopt(name, n, alpha, m.Clone())
+}
+
+// adopt is New without the defensive clone, for constructors that hand
+// over a matrix nothing else references: it saves an (n+1)² copy per
+// build.
+func adopt(name string, n int, alpha float64, m *mat.Dense) (*Mechanism, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: group size n=%d, want >= 1: %w", n, ErrInvalidMechanism)
 	}
@@ -51,7 +58,7 @@ func New(name string, n int, alpha float64, m *mat.Dense) (*Mechanism, error) {
 	if !m.IsColumnStochastic(1e-7) {
 		return nil, fmt.Errorf("core: matrix is not column stochastic: %w", ErrInvalidMechanism)
 	}
-	return &Mechanism{name: name, n: n, alpha: alpha, p: m.Clone()}, nil
+	return &Mechanism{name: name, n: n, alpha: alpha, p: m}, nil
 }
 
 // Name returns the mechanism's display name (e.g. "GM", "EM").
@@ -76,6 +83,10 @@ func (m *Mechanism) matrixRef() *mat.Dense { return m.p }
 
 // Column returns a copy of the output distribution for input j.
 func (m *Mechanism) Column(j int) []float64 { return m.p.Col(j) }
+
+// Bytes returns the heap footprint of the probability matrix: 8 bytes
+// per cell of the (n+1)×(n+1) matrix.
+func (m *Mechanism) Bytes() int { return 8 * (m.n + 1) * (m.n + 1) }
 
 // Trace returns the sum of diagonal entries Σ Pr[j|j].
 func (m *Mechanism) Trace() float64 { return m.p.Trace() }

@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"privcount/internal/rng"
 )
 
-// Sampler draws outputs from a mechanism using tables precomputed once at
-// construction: one alias table per input column for O(1) draws, plus one
-// CDF per column for inverse-transform sampling and quantile queries.
+// Sampler draws outputs from a mechanism using alias tables precomputed
+// once at construction: one Vose alias table per input column, laid out
+// flat — prob and alias hold (n+1)² cells, column j at offset j·(n+1) —
+// so a mechanism's sampling state is two allocations, 12 bytes per cell,
+// for O(1) draws.
 //
 // After NewSampler returns, a Sampler is strictly read-only: no method
 // mutates its tables, so a single Sampler is safe for any number of
@@ -18,37 +20,51 @@ import (
 // serving layer (internal/service) relies on this: it builds one Sampler
 // per cached mechanism and serves all traffic from it.
 type Sampler struct {
-	m    *Mechanism
-	cols []*rng.Alias
-	// cdf[j][i] = Pr[output <= i | input = j]; the last entry is forced to
-	// exactly 1 so Quantile never runs off the end.
-	cdf [][]float64
+	m     *Mechanism
+	k     int       // n+1: outcomes per column, and columns
+	prob  []float64 // k×k alias acceptance probabilities, column-major
+	alias []int32   // k×k alias targets, column-major
 }
 
-// NewSampler precomputes alias and CDF tables for every input column of m.
+// NewSampler precomputes the alias table of every input column of m. All
+// columns are filled from one reused Vose scratch, so construction makes
+// a constant number of allocations whatever n is.
 func NewSampler(m *Mechanism) (*Sampler, error) {
+	k := m.n + 1
 	s := &Sampler{
-		m:    m,
-		cols: make([]*rng.Alias, m.n+1),
-		cdf:  make([][]float64, m.n+1),
+		m:     m,
+		k:     k,
+		prob:  make([]float64, k*k),
+		alias: make([]int32, k*k),
 	}
-	for j := 0; j <= m.n; j++ {
-		col := m.Column(j)
-		a, err := rng.NewAlias(col)
-		if err != nil {
+	var v rng.Vose
+	col := make([]float64, k)
+	for j := 0; j < k; j++ {
+		for i := range col {
+			col[i] = m.p.At(i, j)
+		}
+		off := j * k
+		if err := v.Fill(s.prob[off:off+k], s.alias[off:off+k], col); err != nil {
 			return nil, fmt.Errorf("core: NewSampler column %d: %w", j, err)
 		}
-		s.cols[j] = a
-		cdf := make([]float64, m.n+1)
-		var acc float64
-		for i, p := range col {
-			acc += p
-			cdf[i] = acc
-		}
-		cdf[m.n] = 1
-		s.cdf[j] = cdf
 	}
 	return s, nil
+}
+
+// column returns input j's alias table. Like slice indexing, it panics
+// if j is out of range.
+func (s *Sampler) column(j int) ([]float64, []int32) {
+	if uint(j) >= uint(s.k) {
+		panic("core: Sampler input out of range")
+	}
+	off := j * s.k
+	return s.prob[off : off+s.k : off+s.k], s.alias[off : off+s.k : off+s.k]
+}
+
+// Bytes returns the heap footprint of the sampler's tables: 12 bytes per
+// cell of the (n+1)×(n+1) matrix, excluding the mechanism itself.
+func (s *Sampler) Bytes() int {
+	return 8*len(s.prob) + 4*len(s.alias)
 }
 
 // Mechanism returns the mechanism the sampler draws from.
@@ -57,7 +73,8 @@ func (s *Sampler) Mechanism() *Mechanism { return s.m }
 // Sample draws one output for true count j in O(1) via the alias table.
 // It panics if j is out of range, mirroring slice indexing semantics.
 func (s *Sampler) Sample(src rng.Source, j int) int {
-	return s.cols[j].Sample(src)
+	prob, alias := s.column(j)
+	return rng.SampleAlias(src, prob, alias)
 }
 
 // SampleMany draws one output for each true count in js, appending to dst
@@ -69,9 +86,9 @@ func (s *Sampler) SampleMany(src rng.Source, js []int, dst []int) []int {
 	if dst == nil {
 		dst = make([]int, 0, len(js))
 	}
-	for _, j := range js {
-		dst = append(dst, s.cols[j].Sample(src))
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(js))[:n+len(js)]
+	s.SampleManyInto(src, js, dst[n:])
 	return dst
 }
 
@@ -81,19 +98,23 @@ func (s *Sampler) SampleMany(src rng.Source, js []int, dst []int) []int {
 // if len(dst) < len(js) or any count is out of range, mirroring slice
 // indexing semantics; callers own validation. Draws consume src in the
 // same order as SampleMany, so the two are interchangeable under a
-// seeded source. The alias-table pointer is hoisted across runs of
-// equal counts, which amortises the column lookup for the common
-// all-one-group and sorted-batch shapes.
+// seeded source.
 func (s *Sampler) SampleManyInto(src rng.Source, js []int, dst []int) {
 	_ = dst[:len(js)]
-	var a *rng.Alias
-	last := -1
+	k := s.k
 	for i, j := range js {
-		if j != last {
-			a = s.cols[j]
-			last = j
+		if uint(j) >= uint(k) {
+			panic("core: Sampler input out of range")
 		}
-		dst[i] = a.Sample(src)
+		// rng.SampleAlias written out on column j's offset: it is too
+		// large to inline, and this loop is the serving hot path.
+		off := j * k
+		x := src.IntN(k)
+		if src.Float64() < s.prob[off+x] {
+			dst[i] = x
+		} else {
+			dst[i] = int(s.alias[off+x])
+		}
 	}
 }
 
@@ -101,9 +122,15 @@ func (s *Sampler) SampleManyInto(src rng.Source, js []int, dst []int) {
 // true count j into dst without allocating: the alias table is looked
 // up once and every draw is O(1).
 func (s *Sampler) SampleBatchInto(src rng.Source, j int, dst []int) {
-	a := s.cols[j]
+	prob, alias := s.column(j)
 	for i := range dst {
-		dst[i] = a.Sample(src)
+		// rng.SampleAlias written out, as in SampleManyInto.
+		x := src.IntN(len(prob))
+		if src.Float64() < prob[x] {
+			dst[i] = x
+		} else {
+			dst[i] = int(alias[x])
+		}
 	}
 }
 
@@ -114,10 +141,9 @@ func (s *Sampler) SampleBatch(src rng.Source, j, k int, dst []int) []int {
 	if dst == nil {
 		dst = make([]int, 0, k)
 	}
-	a := s.cols[j]
-	for range k {
-		dst = append(dst, a.Sample(src))
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, k)[:n+k]
+	s.SampleBatchInto(src, j, dst[n:])
 	return dst
 }
 
@@ -125,22 +151,35 @@ func (s *Sampler) SampleBatch(src rng.Source, j, k int, dst []int) []int {
 // >= u, the inverse-CDF transform of u in [0, 1). Unlike alias draws,
 // quantile sampling consumes exactly one uniform per output and is
 // monotone in u, which makes it the right primitive for common-random-
-// number comparisons between mechanisms.
+// number comparisons between mechanisms. No CDF is stored: each call
+// accumulates column j of the mechanism, O(n).
 func (s *Sampler) Quantile(j int, u float64) int {
-	cdf := s.cdf[j]
-	return sort.SearchFloat64s(cdf, u)
+	var acc float64
+	for i := 0; i < s.m.n; i++ {
+		acc += s.m.p.At(i, j)
+		if acc >= u {
+			return i
+		}
+	}
+	return s.m.n
 }
 
-// SampleInverse draws one output for true count j by inversion on the
-// precomputed CDF: one uniform consumed per draw, O(log n) per draw.
+// SampleInverse draws one output for true count j by inversion of the
+// column's CDF: one uniform consumed per draw, O(n) per draw.
 func (s *Sampler) SampleInverse(src rng.Source, j int) int {
 	return s.Quantile(j, src.Float64())
 }
 
-// CDF returns a copy of the cumulative distribution of outputs for input
-// j: CDF(j)[i] = Pr[output <= i | input = j].
+// CDF returns the cumulative distribution of outputs for input j,
+// computed from the mechanism's column: CDF(j)[i] = Pr[output <= i |
+// input = j]. The last entry is exactly 1.
 func (s *Sampler) CDF(j int) []float64 {
-	out := make([]float64, len(s.cdf[j]))
-	copy(out, s.cdf[j])
+	out := make([]float64, s.k)
+	var acc float64
+	for i := range out {
+		acc += s.m.p.At(i, j)
+		out[i] = acc
+	}
+	out[s.m.n] = 1
 	return out
 }

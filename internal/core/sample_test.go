@@ -90,8 +90,8 @@ func TestSampleIntoMatchesAllocatingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Runs of equal counts exercise the alias-pointer hoist; the mix of
-	// sorted runs and alternation covers both branch outcomes.
+	// A mix of sorted runs of equal counts and alternation between
+	// columns.
 	js := []int{0, 0, 0, 3, 3, 8, 1, 8, 1, 5, 5, 5, 5, 2}
 	want := s.SampleMany(rng.New(17), js, nil)
 	got := make([]int, len(js))

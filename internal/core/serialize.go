@@ -37,5 +37,5 @@ func FromProbsRowMajor(name string, n int, alpha float64, probs []float64) (*Mec
 	if err != nil {
 		return nil, fmt.Errorf("core: %v: %w", err, ErrInvalidMechanism)
 	}
-	return New(name, n, alpha, d)
+	return adopt(name, n, alpha, d)
 }

@@ -14,7 +14,7 @@ func Symmetrize(m *Mechanism) (*Mechanism, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: Symmetrize: %w", err)
 	}
-	return New(m.name+"*", m.n, m.alpha, sum.Scale(0.5))
+	return adopt(m.name+"*", m.n, m.alpha, sum.Scale(0.5))
 }
 
 // DerivableFromGM applies Gupte and Sundararajan's test quoted in §IV-D: a

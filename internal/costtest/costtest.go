@@ -18,27 +18,33 @@ import (
 	"time"
 
 	"privcount/internal/core"
+	"privcount/internal/design"
 	"privcount/internal/service"
 )
 
 // Representative returns the spec CheckEnvelope measures for kind:
 // large enough that the construction exercises its real cost class
 // (dense table fills, a warm-start simplex solve, a cold epigraph
-// solve), small enough that the whole harness stays a unit test.
+// solve) and that the (n+1)² tables dominate the entry's live heap,
+// small enough that the whole harness stays a unit test. The closed
+// forms build in well under a second, so they run at n=256, where the resident
+// check resolves well under one byte per cell; the LP kinds run at
+// n=64, where it still separates the table layout from a heavier one.
 func Representative(kind service.Kind) service.Spec {
 	switch kind {
 	case service.KindChoose:
-		// WH+CM routes Figure 5 to an LP design — choose's declared
-		// worst-case class — rather than a closed form.
-		return service.Spec{Kind: kind, N: 32, Alpha: 0.5, Props: core.WeakHonesty | core.ColumnMonotone}
+		// WH+CM at α > 1/2 routes Figure 5 to the WM LP design —
+		// choose's declared worst-case class — rather than a closed
+		// form (at α ≤ 1/2 Lemma 3 picks GM).
+		return service.Spec{Kind: kind, N: 64, Alpha: 0.75, Props: core.WeakHonesty | core.ColumnMonotone}
 	case service.KindGeometric, service.KindExplicitFair:
-		return service.Spec{Kind: kind, N: 64, Alpha: 0.5}
+		return service.Spec{Kind: kind, N: 256, Alpha: 0.5}
 	case service.KindUniform:
-		return service.Spec{Kind: kind, N: 64}
+		return service.Spec{Kind: kind, N: 256}
 	case service.KindLP:
-		return service.Spec{Kind: kind, N: 24, Alpha: 0.5, Props: core.WeakHonesty | core.ColumnMonotone}
+		return service.Spec{Kind: kind, N: 64, Alpha: 0.5, Props: core.WeakHonesty | core.ColumnMonotone}
 	case service.KindLPMinimax:
-		return service.Spec{Kind: kind, N: 16, Alpha: 0.5}
+		return service.Spec{Kind: kind, N: 64, Alpha: 0.9, Props: core.Symmetry}
 	}
 	return service.Spec{Kind: kind}
 }
@@ -60,6 +66,16 @@ func classBudget(c service.CostClass) (maxSeconds float64, maxBytes uint64) {
 	return 0, 0 // unknown class: admits nothing
 }
 
+// residentAllowance is the live heap an entry of group size n may hold
+// beyond its declared per-cell tables: page rounding of the three
+// (n+1)²-cell allocations (matrix, alias probabilities, alias targets),
+// the O(n) MLE and debias vectors, and fixed bookkeeping (entry, map
+// slot, headers).
+func residentAllowance(n int) int64 {
+	const page = 8 << 10
+	return 3*page + 16*int64(n+1) + 16<<10
+}
+
 // CheckEnvelope verifies that spec's kind lives within env, reporting
 // every violation via tb.Errorf (never Fatalf, so a recording TB can
 // collect them). It checks, in order:
@@ -69,7 +85,12 @@ func classBudget(c service.CostClass) (maxSeconds float64, maxBytes uint64) {
 //     declared ceiling and the admission gate cannot desync.
 //  2. Build cost: constructing the mechanism stays inside the wall-clock
 //     and heap budgets of the declared BuildCPU and BuildMem classes.
-//  3. Serving cost: one cached Sample draw performs at most
+//  3. Resident footprint: the live heap after GC with the ready entry
+//     held stays within env.ResidentBytesPerCell per cell of its
+//     (n+1)×(n+1) matrix, plus residentAllowance. The design package's
+//     process-wide LP caches are dropped first: they are not the
+//     entry's.
+//  4. Serving cost: one cached Sample draw performs at most
 //     env.SampleAllocs heap allocations (measured by
 //     testing.AllocsPerRun).
 func CheckEnvelope(tb testing.TB, spec service.Spec, env service.CostEnvelope) {
@@ -95,11 +116,12 @@ func CheckEnvelope(tb testing.TB, spec service.Spec, env service.CostEnvelope) {
 	// not count against the kind.
 	svc := service.New(service.Config{Capacity: 4, Shards: 1})
 	defer svc.Close()
-	var before, after runtime.MemStats
+	var before, after, held runtime.MemStats
 	runtime.GC()
+	runtime.GC() // the second cycle frees what sync.Pool victim caches held
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	_, err := svc.Get(spec)
+	e, err := svc.Get(spec)
 	wall := time.Since(start).Seconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {
@@ -116,6 +138,19 @@ func CheckEnvelope(tb testing.TB, spec service.Spec, env service.CostEnvelope) {
 	_, maxBytes := classBudget(env.BuildMem)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxBytes {
 		tb.Errorf("%s: build allocated %d bytes, over the %s class budget of %d", spec, grew, env.BuildMem, maxBytes)
+	}
+
+	// Resident: the entry stays cached in svc, and e pins it besides.
+	design.ClearCache()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(e)
+	cells := int64(spec.N+1) * int64(spec.N+1)
+	grew := int64(held.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(env.ResidentBytesPerCell)*cells + residentAllowance(spec.N); grew > limit {
+		tb.Errorf("%s: ready entry holds %d live heap bytes (%.1f per cell), over the declared %d B per cell plus %d allowance",
+			spec, grew, float64(grew)/float64(cells), env.ResidentBytesPerCell, residentAllowance(spec.N))
 	}
 
 	// Serving: the hot path's allocation declaration. Concurrent

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"privcount/internal/core"
 	"privcount/internal/service"
 )
 
@@ -67,6 +68,50 @@ func TestBrokenEnvelopeFails(t *testing.T) {
 	CheckEnvelope(rec, spec, broken)
 	if !rec.contains("allocs per draw") {
 		t.Errorf("impossible SampleAllocs not reported; failures: %q", rec.failures)
+	}
+
+	// A resident declaration that leaves out one of the three tables
+	// (12 B per cell: the matrix without its alias targets, or the alias
+	// tables without the matrix): the live-heap measurement must catch
+	// it.
+	broken = service.EnvelopeFor(service.KindGeometric)
+	broken.ResidentBytesPerCell = 12
+	rec = &recorder{TB: t}
+	CheckEnvelope(rec, spec, broken)
+	if !rec.contains("live heap bytes") {
+		t.Errorf("shrunk ResidentBytesPerCell not reported; failures: %q", rec.failures)
+	}
+}
+
+// TestNewSamplerAllocsConstantInN pins the sampler's construction to a
+// constant number of allocations: every column's alias table is filled
+// into one flat slab from one reused Vose scratch, so growing n grows
+// the slabs, never the allocation count.
+func TestNewSamplerAllocsConstantInN(t *testing.T) {
+	// The large tables trigger GC cycles, and the runtime's own
+	// allocations during one (mark workers, for instance) only ever
+	// inflate a reading, so the minimum of a few is the constructor's.
+	allocs := func(n int) float64 {
+		m, err := core.Geometric(n, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least := -1.0
+		for attempt := 0; attempt < 5; attempt++ {
+			got := testing.AllocsPerRun(3, func() {
+				if _, err := core.NewSampler(m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if least < 0 || got < least {
+				least = got
+			}
+		}
+		return least
+	}
+	small, large := allocs(4), allocs(512)
+	if large > small {
+		t.Errorf("NewSampler allocates %.0f times at n=512 but %.0f at n=4: allocation count grows with n", large, small)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"privcount/client"
 	"privcount/internal/service"
@@ -409,6 +410,81 @@ func TestBinaryStreamPipelined(t *testing.T) {
 	}
 	if len(results) != n {
 		t.Fatalf("%d results, want %d", len(results), n)
+	}
+	for i, r := range results {
+		if r.Output == nil || r.Error != nil {
+			t.Fatalf("op %d: %+v", i, r)
+		}
+	}
+}
+
+// TestBinaryStreamOutlivesServerTimeouts runs a pipelined stream for
+// about a second against a server whose ReadTimeout and WriteTimeout
+// are 200 ms. The stream pushes its deadlines forward at every flush,
+// so it must finish with every result and no abort frame.
+func TestBinaryStreamOutlivesServerTimeouts(t *testing.T) {
+	svc := service.New(service.Config{Capacity: 32, Seed: 7})
+	t.Cleanup(svc.Close)
+	ts := httptest.NewUnstartedServer(NewMux(svc))
+	ts.Config.ReadTimeout = 200 * time.Millisecond
+	ts.Config.WriteTimeout = 200 * time.Millisecond
+	ts.Start()
+	t.Cleanup(ts.Close)
+	if _, err := svc.Get(service.Spec{Kind: service.KindGeometric, N: 8, Alpha: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", client.ContentTypeBinary)
+	req.Header.Set("Accept", client.ContentTypeBinary)
+	const batches = 20 // one flush each, 50 ms apart: the stream lives ~1 s
+	done := make(chan error, 1)
+	go func() {
+		fw := client.NewFrameWriter(pw)
+		for b := 0; b < batches; b++ {
+			if b > 0 {
+				time.Sleep(50 * time.Millisecond)
+			}
+			for i := 0; i < streamFlushEvery; i++ {
+				op := client.Op{Op: "sample", ID: "gm:n=8:a=0.5", Count: i % 9}
+				if err := fw.WriteOp(&op); err != nil {
+					done <- err
+					return
+				}
+			}
+			if err := fw.Flush(); err != nil {
+				done <- err
+				return
+			}
+		}
+		if err := fw.Close(); err != nil {
+			done <- err
+			return
+		}
+		done <- pw.Close()
+	}()
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	results, err := readBinaryResults(t, resp.Body)
+	if err != nil {
+		t.Fatalf("stream aborted after %v and %d results: %v", time.Since(start), len(results), err)
+	}
+	if werr := <-done; werr != nil {
+		t.Fatal(werr)
+	}
+	if len(results) != batches*streamFlushEvery {
+		t.Fatalf("%d results, want %d", len(results), batches*streamFlushEvery)
+	}
+	if lived := time.Since(start); lived < 4*ts.Config.ReadTimeout {
+		t.Fatalf("stream lived %v, want well past the %v server timeouts", lived, ts.Config.ReadTimeout)
 	}
 	for i, r := range results {
 		if r.Output == nil || r.Error != nil {

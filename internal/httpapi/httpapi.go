@@ -645,6 +645,13 @@ func writeBinaryResults(w http.ResponseWriter, results []client.OpResult) {
 // against results makes progress without waiting for the whole stream.
 const streamFlushEvery = 64
 
+// streamDeadline is how far each flush pushes a binary stream's read
+// and write deadlines. The server's ReadTimeout and WriteTimeout bound
+// a whole request, which would cut off a long stream that is still
+// making progress; a stream that answers no streamFlushEvery ops within
+// this long still dies.
+const streamDeadline = 30 * time.Second
+
 // queryStream is the binary-in/binary-out data plane: a sequential
 // read-op → execute → write-result loop with no op-count cap. One op's
 // result frame is fully written before the next op is read, which is
@@ -686,6 +693,11 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if (n+1)%streamFlushEvery == 0 {
+			// Errors mean the writer cannot move deadlines (e.g. a
+			// recorder); the server's own timeouts then stand.
+			deadline := time.Now().Add(streamDeadline)
+			_ = rc.SetReadDeadline(deadline)
+			_ = rc.SetWriteDeadline(deadline)
 			if err := fw.Flush(); err != nil {
 				return
 			}

@@ -153,15 +153,14 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		return nil, errSparseFallback
 	}
 	cf := canonicalize(d)
-	if opts.Basis == nil && len(opts.CrashRows)+len(opts.CrashBounds) > 0 {
-		// Seed an advanced basis from the caller's hints: the hinted
-		// primal rows' dual variables are basic, and each hinted at-bound
-		// variable contributes its dual constraint's slack column. In the
-		// dual space a basis has exactly one column per dual row (= primal
-		// variable), so the hint only applies when its cardinality works
-		// out; solveBounded validates the rest (non-singularity, primal
+	if opts.Basis == nil && len(opts.CrashRows) > 0 {
+		// Seed an advanced basis from the caller's hint: the hinted
+		// primal rows' dual variables are basic. In the dual space a
+		// basis has exactly one column per dual row (= primal variable),
+		// so the hint only applies when its cardinality works out;
+		// solveBounded validates the rest (non-singularity, primal
 		// feasibility) and cold-starts on any mismatch.
-		warm := make([]int, 0, len(opts.CrashRows)+len(opts.CrashBounds))
+		warm := make([]int, 0, len(opts.CrashRows))
 		for _, r := range opts.CrashRows {
 			if r < 0 || r >= len(refs) {
 				warm = nil
@@ -173,17 +172,6 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 			} else if ref.neg >= 0 {
 				warm = append(warm, ref.neg)
 			}
-		}
-		for _, v := range opts.CrashBounds {
-			// Dual row v is the constraint for primal variable v; its
-			// identity column is the slack (sign +1) unless
-			// canonicalisation flipped the row, in which case the hint
-			// cannot be expressed and is abandoned.
-			if warm == nil || v < 0 || v >= cf.m || cf.identSign[v] != 1 {
-				warm = nil
-				break
-			}
-			warm = append(warm, cf.identCol[v])
 		}
 		// Presolve may have dropped some hinted rows (box-implied rows on
 		// tightly-bounded variables), leaving the hint short of a basis.
@@ -197,7 +185,6 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		}
 		if len(warm) == cf.m {
 			opts.Basis = warm
-		} else {
 		}
 	}
 	dsol, err := d.solveBounded(cf, opts)
@@ -215,39 +202,6 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		BoundFlips:       dsol.BoundFlips,
 		Refactorizations: dsol.Refactorizations,
 		Basis:            dsol.Basis,
-	}
-	// Decode the final dual basis structurally: a basic dual structural
-	// variable names an active primal row; a basic dual-row identity
-	// (slack) column names a primal variable resting on a bound. Rows
-	// materialised by expandBounds (indices past the caller's rows) are
-	// not representable and are skipped.
-	if len(dsol.Basis) > 0 {
-		rowOf := make(map[int]int, 2*len(m.cons))
-		for i := range m.cons {
-			if refs[i].pos >= 0 {
-				rowOf[refs[i].pos] = i
-			}
-			if refs[i].neg >= 0 {
-				rowOf[refs[i].neg] = i
-			}
-		}
-		slackOf := make(map[int]int, cf.m)
-		for j := 0; j < cf.m; j++ {
-			if cf.identSign[j] == 1 && cf.identCol[j] >= cf.nStruct {
-				slackOf[cf.identCol[j]] = j
-			}
-		}
-		seenRow := make(map[int]bool, len(dsol.Basis))
-		for _, col := range dsol.Basis {
-			if col < cf.nStruct {
-				if r, ok := rowOf[col]; ok && !seenRow[r] {
-					seenRow[r] = true
-					sol.ActiveRows = append(sol.ActiveRows, r)
-				}
-			} else if v, ok := slackOf[col]; ok {
-				sol.AtBound = append(sol.AtBound, v)
-			}
-		}
 	}
 	// Strong duality: the primal optimum sits in the dual solve's duals
 	// (one dual constraint per primal variable, in order).

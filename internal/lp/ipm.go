@@ -64,7 +64,7 @@ const ipmMinRows = 20000
 // — far cheaper than any from-scratch method), and small models solve
 // in milliseconds either way.
 func wantIPM(cf *canonForm, opts Options) bool {
-	if len(opts.Basis) > 0 || len(opts.CrashRows) > 0 || len(opts.CrashBounds) > 0 {
+	if len(opts.Basis) > 0 || len(opts.CrashRows) > 0 {
 		return false
 	}
 	return cf.m >= ipmMinRows

@@ -84,23 +84,6 @@ type Solution struct {
 	// basis that does not fit the shape is ignored and the solve
 	// cold-starts.
 	Basis []int
-	// ActiveRows lists, in this model's original row indices, the
-	// constraints whose dual variable sat in the final basis — the rows
-	// the solver left "active" at the optimum. Together with AtBound it
-	// describes the optimal basis structurally (rather than as the opaque
-	// route-specific token in Basis), so a caller that understands its
-	// model's geometry can transfer the basis to a *different* model of
-	// the same family via Options.CrashRows/CrashBounds. Populated by the
-	// dual route only; nil elsewhere. Rows materialised from variable
-	// bounds during dualization are not representable here and are
-	// omitted.
-	ActiveRows []int
-	// AtBound lists the variables whose dual-constraint slack sat in the
-	// final dual basis — variables resting on a bound with (possibly)
-	// nonzero reduced cost at the optimum. Populated by the dual route
-	// only; nil elsewhere. len(ActiveRows)+len(AtBound) equals the dual
-	// basis dimension (one slot per variable) when nothing was omitted.
-	AtBound []int
 	// Presolve reports the reductions applied before the solve (zero on
 	// the oracle methods, which always solve the model as given).
 	Presolve PresolveStats
@@ -194,14 +177,6 @@ type Options struct {
 	// by an order of magnitude. An explicit Options.Basis wins over the
 	// hint.
 	CrashRows []int
-	// CrashBounds lists variables the caller expects to rest on a bound
-	// with nonzero reduced cost at the optimum. The dual route seeds the
-	// corresponding dual-slack columns into the advanced basis, so a
-	// hinted basis can mix tight rows (CrashRows) with at-bound variables
-	// — exactly the shape Solution.ActiveRows/AtBound report from a
-	// previous solve of the same family. Subject to the same
-	// all-or-nothing validation as CrashRows.
-	CrashBounds []int
 
 	// ctx carries the cancellation signal set by SolveCtx. Every solver
 	// loop — dense tableau, unbounded revised, bounded revised, and the
@@ -329,13 +304,6 @@ func (m *Model) SolveWith(opts Options) (*Solution, error) {
 		sol.Presolve = pre.stats
 		if err == nil && sol.Status == StatusOptimal {
 			pre.postsolve(sol)
-			// ActiveRows came back in reduced row indices; surface them in
-			// the caller's original indices, mirroring the Duals mapping.
-			if len(sol.ActiveRows) > 0 {
-				for k, red := range sol.ActiveRows {
-					sol.ActiveRows[k] = pre.rowMap[red]
-				}
-			}
 		}
 	}
 	if err != nil {

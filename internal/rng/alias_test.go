@@ -139,3 +139,34 @@ func TestAliasMatchesWeightsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestVoseFillReusesScratch fills tables of shrinking and growing sizes
+// from one Vose and checks each against a fresh NewAlias: reused
+// scratch must not carry state from one fill into the next.
+func TestVoseFillReusesScratch(t *testing.T) {
+	var v Vose
+	for _, weights := range [][]float64{
+		{0.05, 0.3, 0.15, 0.4, 0.1},
+		{3, 1},
+		{1, 0, 2, 0, 5, 1, 1},
+		{0.2, 0.2, 0.6},
+	} {
+		prob, alias := make([]float64, len(weights)), make([]int32, len(weights))
+		if err := v.Fill(prob, alias, weights); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewAlias(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range weights {
+			if prob[i] != want.prob[i] || alias[i] != want.alias[i] {
+				t.Fatalf("weights %v slot %d: reused fill (%v, %d), fresh (%v, %d)",
+					weights, i, prob[i], alias[i], want.prob[i], want.alias[i])
+			}
+		}
+	}
+	if err := v.Fill(make([]float64, 2), make([]int32, 3), []float64{1, 1, 1}); err == nil {
+		t.Error("Fill into a short probability slice did not fail")
+	}
+}

@@ -16,7 +16,7 @@ import (
 // GET/PUT /v2/mechanisms/{id}/artifact. A built mechanism is pure data,
 // fully determined by its canonical Spec ID: the probability matrix,
 // the metadata the serving layer reports (name, rule, properties), and
-// the estimation tables. The alias/CDF sampling tables are NOT encoded;
+// the estimation tables. The alias sampling tables are NOT encoded;
 // they are rebuilt from the matrix in O(n²) on load, which keeps the
 // format small and the loader trivially verifiable.
 //

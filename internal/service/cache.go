@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // Entry is one admitted mechanism with everything precomputed for
-// serving: the mechanism matrix, per-column alias/CDF sampling tables,
+// serving: the mechanism matrix, the per-column alias sampling tables,
 // the MLE decode table and the unbiased (debiasing) estimator.
 //
 // An Entry is a small state machine (see BuildState): it is admitted in
@@ -165,6 +166,18 @@ func (e *Entry) MLE(i int) int { return e.mle[i] }
 // (UM's matrix is singular).
 func (e *Entry) Debias() ([]float64, error) { return e.debias, e.debiasErr }
 
+// ResidentBytes returns the heap bytes a ready entry's serving tables
+// hold: the mechanism matrix, the sampler's alias tables, and the MLE
+// and debias vectors. It is 0 unless the entry is BuildReady. Tables
+// dominate an entry's footprint: ~20 bytes per (n+1)² cell plus O(n).
+func (e *Entry) ResidentBytes() int64 {
+	if e.State() != BuildReady {
+		return 0
+	}
+	const wordBytes = bits.UintSize / 8
+	return int64(e.mech.Bytes() + e.sampler.Bytes() + wordBytes*len(e.mle) + 8*len(e.debias))
+}
+
 // hitStripes is the number of independent hit counters per shard; hits
 // are striped by the caller's RNG stream so concurrent samplers do not
 // bounce one counter cache line between cores.
@@ -269,6 +282,15 @@ func (sh *shard) evict(next map[Spec]*Entry, keep *Entry) *Entry {
 // len returns the number of admitted entries.
 func (sh *shard) len() int {
 	return len(*sh.entries.Load())
+}
+
+// residentBytes sums ResidentBytes over the shard's ready entries.
+func (sh *shard) residentBytes() int64 {
+	var total int64
+	for _, e := range *sh.entries.Load() {
+		total += e.ResidentBytes()
+	}
+	return total
 }
 
 // hitCount sums the striped hit counters.

@@ -22,8 +22,8 @@ type CostClass uint8
 
 const (
 	// CostTable covers closed-form construction: O(n²) dense table
-	// fills (mechanism matrix, alias/CDF sampling tables, MLE and
-	// debiasing estimators) with no iterative solve.
+	// fills (mechanism matrix, alias sampling tables, MLE and debiasing
+	// estimators) with no iterative solve.
 	CostTable CostClass = iota
 	// CostLP covers LP-backed construction on the bounded-variable
 	// revised simplex with presolve and the geometric-vertex crash
@@ -73,7 +73,16 @@ type CostEnvelope struct {
 	// Sample draw may perform — the hot-path allocation declaration.
 	// The serving tables are precomputed precisely so this can be 0.
 	SampleAllocs int
+	// ResidentBytesPerCell bounds the live heap a ready entry holds per
+	// cell of its (n+1)×(n+1) matrix: the matrix itself (8 B) plus the
+	// flat alias tables (8 B probability + 4 B target). The O(n) MLE and
+	// debias vectors ride in the slack above those 20 B.
+	ResidentBytesPerCell int
 }
+
+// tableBytesPerCell is the resident figure every kind declares today:
+// they all serve from the same dense matrix and alias tables.
+const tableBytesPerCell = 21
 
 // envelopes holds the declared envelope of every kind. The group-size
 // ceilings reference the exported Max* constants so their rationale
@@ -84,26 +93,32 @@ var envelopes = map[Kind]CostEnvelope{
 		// (to MaxLPN); its build classes declare the worst case.
 		MaxN: MaxN, LPBackedMaxN: MaxLPN,
 		BuildCPU: CostLP, BuildMem: CostLP, SampleAllocs: 0,
+		ResidentBytesPerCell: tableBytesPerCell,
 	},
 	KindGeometric: {
 		MaxN:     MaxN,
 		BuildCPU: CostTable, BuildMem: CostTable, SampleAllocs: 0,
+		ResidentBytesPerCell: tableBytesPerCell,
 	},
 	KindExplicitFair: {
 		MaxN:     MaxN,
 		BuildCPU: CostTable, BuildMem: CostTable, SampleAllocs: 0,
+		ResidentBytesPerCell: tableBytesPerCell,
 	},
 	KindUniform: {
 		MaxN:     MaxN,
 		BuildCPU: CostTable, BuildMem: CostTable, SampleAllocs: 0,
+		ResidentBytesPerCell: tableBytesPerCell,
 	},
 	KindLP: {
 		MaxN: MaxLPN, LPBackedMaxN: MaxLPN,
 		BuildCPU: CostLP, BuildMem: CostLP, SampleAllocs: 0,
+		ResidentBytesPerCell: tableBytesPerCell,
 	},
 	KindLPMinimax: {
 		MaxN: MaxLPMinimaxN, LPBackedMaxN: MaxLPMinimaxN,
 		BuildCPU: CostLPMinimax, BuildMem: CostLPMinimax, SampleAllocs: 0,
+		ResidentBytesPerCell: tableBytesPerCell,
 	},
 }
 

@@ -19,6 +19,15 @@ func (s *Service) RegisterMetrics(reg *metrics.Registry) {
 			}
 			return float64(n)
 		})
+	reg.NewGaugeFunc("privcount_cache_resident_bytes",
+		"Heap bytes held by the serving tables of ready cached mechanisms.",
+		func() float64 {
+			var n int64
+			for _, sh := range s.shards {
+				n += sh.residentBytes()
+			}
+			return float64(n)
+		})
 	reg.NewCounterFunc("privcount_cache_hits_total",
 		"Cache lookups served by an existing entry.",
 		func() float64 {

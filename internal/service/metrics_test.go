@@ -1,6 +1,8 @@
 package service
 
 import (
+	"math/bits"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,6 +40,7 @@ func TestRegisterMetricsRendersAllFamilies(t *testing.T) {
 		"privcount_cache_hits_total",
 		"privcount_cache_misses_total",
 		"privcount_cache_evictions_total",
+		"privcount_cache_resident_bytes",
 		"privcount_build_queue_depth",
 		"privcount_builds_in_flight",
 		"privcount_build_inflight_seconds",
@@ -63,6 +66,43 @@ func TestRegisterMetricsRendersAllFamilies(t *testing.T) {
 	// The gm builds above must be visible in the per-kind counters.
 	if !strings.Contains(out, `privcount_builds_total{kind="gm",result="ok"} 4`) {
 		t.Errorf("gm ok-build counter not at 4:\n%s", out)
+	}
+}
+
+// TestCacheResidentBytes pins the resident figure to the table layout —
+// per (n+1)² cell an 8-byte matrix entry plus a 12-byte alias cell, and
+// per output an MLE word and (when the estimator exists) a debias
+// float — and the gauge to the sum over ready entries.
+func TestCacheResidentBytes(t *testing.T) {
+	svc := New(Config{Capacity: 8, Shards: 2, Seed: 1})
+	defer svc.Close()
+	reg := metrics.NewRegistry()
+	svc.RegisterMetrics(reg)
+	if !strings.Contains(reg.Render(), "privcount_cache_resident_bytes 0\n") {
+		t.Errorf("empty cache does not report 0 resident bytes:\n%s", reg.Render())
+	}
+
+	gm, err := svc.Get(Spec{Kind: KindGeometric, N: 8, Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := gm.ResidentBytes(), int64(20*81+bits.UintSize/8*9+8*9); got != want {
+		t.Errorf("gm n=8 resident %d bytes, want %d", got, want)
+	}
+	um, err := svc.Get(Spec{Kind: KindUniform, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// UM's matrix is singular: no debias vector.
+	if got, want := um.ResidentBytes(), int64(20*25+bits.UintSize/8*5); got != want {
+		t.Errorf("um n=4 resident %d bytes, want %d", got, want)
+	}
+	want := "privcount_cache_resident_bytes " + strconv.FormatInt(gm.ResidentBytes()+um.ResidentBytes(), 10) + "\n"
+	if out := reg.Render(); !strings.Contains(out, want) {
+		t.Errorf("exposition lacks %q:\n%s", want, out)
+	}
+	if pending := newEntry(Spec{Kind: KindGeometric, N: 8, Alpha: 0.5}); pending.ResidentBytes() != 0 {
+		t.Errorf("pending entry reports %d resident bytes, want 0", pending.ResidentBytes())
 	}
 }
 

@@ -7,7 +7,7 @@
 // group size n, privacy level α, property set, objective). First touch
 // of a spec admits a build-state entry (pending → building →
 // ready/failed) onto a bounded background worker pool; the mechanism and
-// its per-column alias/CDF sampling tables, MLE decode table and
+// its flat per-column alias sampling tables, MLE decode table and
 // unbiased (debiasing) estimator are constructed exactly once, off the
 // caller's goroutine, and every later request is served from the cache.
 // Builds are cancellable end to end: a blocking caller whose context
