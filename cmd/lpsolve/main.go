@@ -26,17 +26,17 @@ func main() {
 		echo      = flag.Bool("echo", false, "echo the parsed model before solving")
 		maxIter   = flag.Int("maxiter", 0, "simplex iteration limit (0 = automatic)")
 		stats     = flag.Bool("stats", false, "print solver statistics (route, iterations, factorizations, nonzeros, wall time)")
-		method    = flag.String("method", "auto", "solver back end: auto, sparse, dense, unbounded, or ipm")
+		method    = flag.String("method", "auto", "solver back end: auto, sparse, or ipm")
 	)
 	flag.Parse()
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: lpsolve [-duals] [-echo] [-method m] <file.lp | ->")
-		os.Exit(2)
-	}
 	m, err := parseMethod(*method)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "lpsolve:", err)
+	}
+	if err != nil || flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: lpsolve [-duals] [-echo] [-method auto|sparse|ipm] <file.lp | ->")
+		os.Exit(2)
 	}
 	src, err := readSource(flag.Arg(0))
 	if err != nil {
@@ -104,23 +104,19 @@ func main() {
 }
 
 // parseMethod maps the -method flag onto the solver back ends. "auto"
-// keeps the full routing chain (presolve, dual route, IPM for huge
-// models, simplex, oracle fallbacks); the named methods force one
-// engine, which is how the cross-validation harnesses drive the CLI.
+// keeps the full route (presolve, IPM for large models, dual route for
+// tall ones, bounded simplex); "sparse" forces the bounded simplex and
+// "ipm" the interior point method.
 func parseMethod(s string) (lp.Method, error) {
 	switch s {
 	case "", "auto":
 		return lp.MethodAuto, nil
 	case "sparse":
 		return lp.MethodSparse, nil
-	case "dense":
-		return lp.MethodDense, nil
-	case "unbounded":
-		return lp.MethodUnboundedSparse, nil
 	case "ipm":
 		return lp.MethodIPM, nil
 	}
-	return 0, fmt.Errorf("unknown -method %q (want auto, sparse, dense, unbounded, or ipm)", s)
+	return 0, fmt.Errorf("unknown -method %q (want auto, sparse, or ipm)", s)
 }
 
 func readSource(path string) (string, error) {

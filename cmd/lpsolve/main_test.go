@@ -54,12 +54,10 @@ func TestStatsReportPresolveAndRoute(t *testing.T) {
 // chain, and anything else must be rejected before a solve starts.
 func TestParseMethod(t *testing.T) {
 	want := map[string]lp.Method{
-		"":          lp.MethodAuto,
-		"auto":      lp.MethodAuto,
-		"sparse":    lp.MethodSparse,
-		"dense":     lp.MethodDense,
-		"unbounded": lp.MethodUnboundedSparse,
-		"ipm":       lp.MethodIPM,
+		"":       lp.MethodAuto,
+		"auto":   lp.MethodAuto,
+		"sparse": lp.MethodSparse,
+		"ipm":    lp.MethodIPM,
 	}
 	for name, m := range want {
 		got, err := parseMethod(name)
@@ -67,8 +65,13 @@ func TestParseMethod(t *testing.T) {
 			t.Errorf("parseMethod(%q) = %v, %v, want %v", name, got, err, m)
 		}
 	}
-	if _, err := parseMethod("simplex2"); err == nil {
-		t.Error("parseMethod accepted an unknown back end")
+	for _, name := range []string{"simplex2", "dense", "unbounded"} {
+		_, err := parseMethod(name)
+		if err == nil {
+			t.Errorf("parseMethod(%q) accepted an unknown back end", name)
+		} else if !strings.Contains(err.Error(), "auto, sparse, or ipm") {
+			t.Errorf("parseMethod(%q) error %q does not list the methods", name, err)
+		}
 	}
 }
 

@@ -28,9 +28,19 @@ type cacheKey struct {
 }
 
 var (
-	cacheMu sync.Mutex
-	cache   = map[cacheKey]*Result{}
+	cacheMu    sync.Mutex
+	cache      = map[cacheKey]*Result{}
+	cacheCells int // Σ (n+1)² over the memoised matrices
 )
+
+// maxCachedCells bounds the result memo by the matrix cells it holds, 8
+// bytes each: 1 MiB of matrices. Sweeps over small n (the figures, the
+// §IV-D subset study) fit whole, while a stream of distinct serving-size
+// LP-backed specs cannot keep matrices the serving cache has already
+// evicted. A result larger than the budget is not memoised; at capacity
+// arbitrary entries are evicted — the memo is an accelerator, not a
+// correctness structure.
+const maxCachedCells = 1 << 17
 
 // warmKey identifies a family of structurally identical design LPs: the
 // constraint pattern depends on (n, props, reduce, objective kind) but
@@ -135,17 +145,37 @@ func solveCached(ctx context.Context, n int, alpha float64, props core.PropertyS
 	if err != nil {
 		return nil, err
 	}
-	cacheMu.Lock()
-	cache[key] = r
-	cacheMu.Unlock()
+	storeCached(key, r)
 	return r, nil
+}
+
+// storeCached memoises r under key within the maxCachedCells budget.
+func storeCached(key cacheKey, r *Result) {
+	cells := (key.n + 1) * (key.n + 1)
+	if cells > maxCachedCells {
+		return
+	}
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if _, exists := cache[key]; exists {
+		return
+	}
+	for victim := range cache {
+		if cacheCells+cells <= maxCachedCells {
+			break
+		}
+		delete(cache, victim)
+		cacheCells -= (victim.n + 1) * (victim.n + 1)
+	}
+	cache[key] = r
+	cacheCells += cells
 }
 
 // ClearCache drops all memoised LP results and warm-start bases (used by
 // benchmarks that want to measure cold solves).
 func ClearCache() {
 	cacheMu.Lock()
-	cache = map[cacheKey]*Result{}
+	cache, cacheCells = map[cacheKey]*Result{}, 0
 	cacheMu.Unlock()
 	warmMu.Lock()
 	warmBases = map[warmKey][]int{}
@@ -274,21 +304,47 @@ func GeometricProps(n int, alpha float64) core.PropertySet {
 	return core.Closure(ps)
 }
 
-// IsLPBacked reports whether Choose(n, alpha, props) would resolve to an
-// LP-designed mechanism rather than a closed form. It mirrors Choose's
-// branch structure exactly (keep the two in lockstep); the serving layer
-// uses it to bound admission of LP-backed specs without building them.
-func IsLPBacked(n int, alpha float64, props core.PropertySet) bool {
-	closed := core.Closure(props &^ core.Symmetry)
+// figure5Branch is a leaf of the Figure 5 flowchart.
+type figure5Branch int
+
+const (
+	branchEM         figure5Branch = iota // fairness
+	branchGMLemma3                        // column property, α ≤ ½
+	branchWMLP                            // column property, α > ½
+	branchGMLemma2                        // weak honesty, n ≥ 2α/(1−α)
+	branchWHLP                            // weak honesty, n < 2α/(1−α)
+	branchGMTheorem3                      // subset of {S, RH, RM}
+)
+
+// figure5 walks the Figure 5 flowchart for a request whose property set,
+// symmetry removed, closes to closed. It returns the leaf and the rule
+// string Choose reports for it; Choose and IsLPBacked both read it, so
+// the admission check cannot drift from the construction.
+func figure5(n int, alpha float64, closed core.PropertySet) (figure5Branch, string) {
 	switch {
 	case closed&core.Fairness != 0:
-		return false
+		return branchEM, "fairness => EM"
 	case closed&(core.ColumnHonesty|core.ColumnMonotone) != 0:
-		return alpha > 0.5
+		if alpha <= 0.5 {
+			return branchGMLemma3, "column property, alpha <= 1/2 => GM (Lemma 3)"
+		}
+		return branchWMLP, "column property, alpha > 1/2 => WH+CM LP (WM)"
 	case closed&core.WeakHonesty != 0:
-		return float64(n) < core.GeometricWeakHonestyThreshold(alpha)
+		if float64(n) >= core.GeometricWeakHonestyThreshold(alpha) {
+			return branchGMLemma2, "weak honesty, n >= 2a/(1-a) => GM (Lemma 2)"
+		}
+		return branchWHLP, "weak honesty, n < 2a/(1-a) => WH LP"
+	default:
+		return branchGMTheorem3, "subset of {S, RH, RM} => GM (Theorem 3)"
 	}
-	return false
+}
+
+// IsLPBacked reports whether Choose(n, alpha, props) would resolve to an
+// LP-designed mechanism rather than a closed form; the serving layer
+// uses it to bound admission of LP-backed specs without building them.
+func IsLPBacked(n int, alpha float64, props core.PropertySet) bool {
+	b, _ := figure5(n, alpha, core.Closure(props&^core.Symmetry))
+	return b == branchWMLP || b == branchWHLP
 }
 
 // Choose implements the Figure 5 decision procedure for the L0 objective:
@@ -306,56 +362,34 @@ func Choose(n int, alpha float64, props core.PropertySet) (*Choice, error) {
 func ChooseCtx(ctx context.Context, n int, alpha float64, props core.PropertySet) (*Choice, error) {
 	props &^= core.Symmetry // free by Theorem 1; every branch provides it
 	closed := core.Closure(props)
-
-	switch {
-	case closed&core.Fairness != 0:
-		m, err := core.ExplicitFair(n, alpha)
-		if err != nil {
-			return nil, err
+	b, rule := figure5(n, alpha, closed)
+	var (
+		m   *core.Mechanism
+		ps  core.PropertySet
+		err error
+	)
+	switch b {
+	case branchEM:
+		m, err = core.ExplicitFair(n, alpha)
+		ps = core.AllProperties
+	case branchWMLP:
+		m, err = WMCtx(ctx, n, alpha)
+		ps = core.Closure(WMProps)
+	case branchWHLP:
+		// The LP must carry any requested row properties too, not just
+		// WH, or the serving layer would hand back a mechanism weaker
+		// than asked for.
+		ps = closed | core.Symmetry
+		var r *Result
+		if r, err = solveCached(ctx, n, alpha, ps, L0Objective); err == nil {
+			m = r.Mechanism.Rename("WH-LP")
 		}
-		return &Choice{Mechanism: m, Rule: "fairness => EM", Props: core.AllProperties}, nil
-
-	case closed&(core.ColumnHonesty|core.ColumnMonotone) != 0:
-		if alpha <= 0.5 {
-			m, err := core.Geometric(n, alpha)
-			if err != nil {
-				return nil, err
-			}
-			return &Choice{Mechanism: m, Rule: "column property, alpha <= 1/2 => GM (Lemma 3)",
-				Props: GeometricProps(n, alpha)}, nil
-		}
-		m, err := WMCtx(ctx, n, alpha)
-		if err != nil {
-			return nil, err
-		}
-		return &Choice{Mechanism: m, Rule: "column property, alpha > 1/2 => WH+CM LP (WM)",
-			Props: core.Closure(WMProps)}, nil
-
-	case closed&core.WeakHonesty != 0:
-		if float64(n) >= core.GeometricWeakHonestyThreshold(alpha) {
-			m, err := core.Geometric(n, alpha)
-			if err != nil {
-				return nil, err
-			}
-			return &Choice{Mechanism: m, Rule: "weak honesty, n >= 2a/(1-a) => GM (Lemma 2)",
-				Props: GeometricProps(n, alpha)}, nil
-		}
-		// Below the threshold the LP must carry any requested row
-		// properties too, not just WH, or the serving layer would hand
-		// back a mechanism weaker than asked for.
-		r, err := solveCached(ctx, n, alpha, closed|core.Symmetry, L0Objective)
-		if err != nil {
-			return nil, err
-		}
-		return &Choice{Mechanism: r.Mechanism.Rename("WH-LP"), Rule: "weak honesty, n < 2a/(1-a) => WH LP",
-			Props: closed | core.Symmetry}, nil
-
-	default:
-		m, err := core.Geometric(n, alpha)
-		if err != nil {
-			return nil, err
-		}
-		return &Choice{Mechanism: m, Rule: "subset of {S, RH, RM} => GM (Theorem 3)",
-			Props: GeometricProps(n, alpha)}, nil
+	default: // the three GM leaves
+		m, err = core.Geometric(n, alpha)
+		ps = GeometricProps(n, alpha)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return &Choice{Mechanism: m, Rule: rule, Props: ps}, nil
 }

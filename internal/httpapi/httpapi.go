@@ -604,18 +604,19 @@ func (a *api) postQuery(w http.ResponseWriter, r *http.Request) {
 	mayForward := a.node != nil && r.Header.Get(cluster.RoutedHeader) == ""
 	results := make([]client.OpResult, len(ops))
 	var wg sync.WaitGroup
-	for i, op := range ops {
+	for i := range ops {
 		wg.Add(1)
-		go func(i int, op client.Op) {
+		go func(i int) {
 			defer wg.Done()
 			if mayForward {
-				if res, ok := a.forwardOp(r.Context(), op); ok {
+				if res, ok := a.forwardOp(r.Context(), ops[i]); ok {
 					results[i] = res
 					return
 				}
 			}
-			results[i] = a.runOp(r.Context(), op)
-		}(i, op)
+			// Each op owns its scratch, so a batch result may alias it.
+			results[i] = a.runOpInto(r.Context(), &ops[i], &opScratch{})
+		}(i)
 	}
 	wg.Wait()
 	if binOut {
@@ -672,7 +673,7 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.EnableFullDuplex()
 	fr := client.NewFrameReader(r.Body)
 	fw := client.NewFrameWriter(w)
-	sc := newOpScratch()
+	sc := &opScratch{}
 	ctx := r.Context()
 	var op client.Op
 	for n := 0; ; n++ {
@@ -709,12 +710,18 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// opScratch is per-stream reusable state: a parsed-spec cache (ops
-// name mechanisms by wire token; re-parsing every frame would allocate)
-// and the batch result buffer the zero-alloc sampling path writes into.
+// opScratch is the reusable state of a sequence of query ops: a
+// parsed-spec cache (ops name mechanisms by wire token; re-parsing every
+// frame would allocate) and the batch result buffer the zero-alloc
+// sampling path writes into. The zero value is ready to use. The most
+// recent spec is held inline and the map is made at the second distinct
+// one, so a scratch serving one op, or a stream naming one mechanism,
+// never allocates it.
 type opScratch struct {
-	specs map[string]service.Spec
-	dst   []int
+	lastID string
+	last   service.Spec
+	specs  map[string]service.Spec
+	dst    []int
 }
 
 // maxCachedSpecs bounds the per-stream spec cache; a hostile stream
@@ -722,21 +729,24 @@ type opScratch struct {
 // unbounded memory.
 const maxCachedSpecs = 1024
 
-func newOpScratch() *opScratch {
-	return &opScratch{specs: make(map[string]service.Spec, 8)}
-}
-
 func (sc *opScratch) spec(id string) (service.Spec, error) {
-	if s, ok := sc.specs[id]; ok {
-		return s, nil
+	if id == sc.lastID && id != "" {
+		return sc.last, nil
 	}
-	var s service.Spec
-	if err := s.UnmarshalText([]byte(id)); err != nil {
-		return service.Spec{}, err
+	s, ok := sc.specs[id]
+	if !ok {
+		if err := s.UnmarshalText([]byte(id)); err != nil {
+			return service.Spec{}, err
+		}
+		if sc.lastID != "" && len(sc.specs) < maxCachedSpecs {
+			if sc.specs == nil {
+				sc.specs = make(map[string]service.Spec, 8)
+				sc.specs[sc.lastID] = sc.last
+			}
+			sc.specs[id] = s
+		}
 	}
-	if len(sc.specs) < maxCachedSpecs {
-		sc.specs[id] = s
-	}
+	sc.lastID, sc.last = id, s
 	return s, nil
 }
 
@@ -779,53 +789,6 @@ func (a *api) runOpInto(ctx context.Context, op *client.Op, sc *opScratch) clien
 			return a.opError(err)
 		}
 		return client.OpResult{Outputs: dst}
-	case client.OpEstimate:
-		if len(op.Outputs) == 0 {
-			return a.opError(fmt.Errorf("%w: empty outputs", service.ErrSpecInvalid))
-		}
-		est, err := a.svc.EstimateCtx(ctx, spec, op.Outputs)
-		if err != nil {
-			return a.opError(err)
-		}
-		return client.OpResult{
-			MLE: est.MLE, Sum: &est.Sum, Mean: &est.Mean, Unbiased: &est.Unbiased,
-		}
-	default:
-		return a.opError(fmt.Errorf("%w: unknown op %q (want sample, batch, or estimate)", service.ErrSpecInvalid, op.Op))
-	}
-}
-
-// runOp executes one query op. Cold mechanisms are admitted and awaited
-// under ctx, exactly like the v1 data plane — so cheap closed-form
-// specs work without a prior PUT, while a dead client cancels any build
-// it alone was waiting on.
-func (a *api) runOp(ctx context.Context, op client.Op) client.OpResult {
-	var spec service.Spec
-	if err := spec.UnmarshalText([]byte(op.ID)); err != nil {
-		return a.opError(err)
-	}
-	switch op.Op {
-	case client.OpSample:
-		out, err := a.svc.SampleCtx(ctx, spec, op.Count)
-		if err != nil {
-			return a.opError(err)
-		}
-		return client.OpResult{Output: &out}
-	case client.OpBatch:
-		if len(op.Counts) == 0 {
-			return a.opError(fmt.Errorf("%w: empty counts", service.ErrSpecInvalid))
-		}
-		var outs []int
-		var err error
-		if op.Seed != nil {
-			outs, err = a.svc.SampleBatchSeededCtx(ctx, spec, *op.Seed, op.Counts, nil)
-		} else {
-			outs, err = a.svc.SampleBatchCtx(ctx, spec, op.Counts, nil)
-		}
-		if err != nil {
-			return a.opError(err)
-		}
-		return client.OpResult{Outputs: outs}
 	case client.OpEstimate:
 		if len(op.Outputs) == 0 {
 			return a.opError(fmt.Errorf("%w: empty outputs", service.ErrSpecInvalid))

@@ -403,3 +403,49 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		}
 	}
 }
+
+// TestOpScratchSpecCache pins the spec cache every query op parses
+// through: a scratch naming one mechanism never builds its map (the
+// buffered fan-out gives each op a fresh scratch), a stream alternating
+// between mechanisms serves every repeat without allocating, and a
+// parse error caches nothing.
+func TestOpScratchSpecCache(t *testing.T) {
+	parse := func(id string) service.Spec {
+		var s service.Spec
+		if err := s.UnmarshalText([]byte(id)); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	var sc opScratch
+	for i := 0; i < 3; i++ {
+		if s, err := sc.spec("gm:n=8:a=0.5"); err != nil || s != parse("gm:n=8:a=0.5") {
+			t.Fatalf("spec = %+v, %v", s, err)
+		}
+	}
+	if sc.specs != nil {
+		t.Fatal("a scratch naming one mechanism built its spec map")
+	}
+	ids := []string{"gm:n=8:a=0.5", "em:n=4:a=0.5", "gm:n=8:a=0.5", "um:n=2", "em:n=4:a=0.5"}
+	for _, id := range ids {
+		if s, err := sc.spec(id); err != nil || s != parse(id) {
+			t.Fatalf("spec(%q) = %+v, %v", id, s, err)
+		}
+	}
+	if _, err := sc.spec("gm:n=oops"); err == nil {
+		t.Fatal("malformed id parsed")
+	}
+	if s, err := sc.spec("um:n=2"); err != nil || s != parse("um:n=2") {
+		t.Fatalf("spec after a parse error = %+v, %v", s, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, id := range ids {
+			if _, err := sc.spec(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cached spec lookups allocated %v times per run", allocs)
+	}
+}

@@ -8,9 +8,9 @@ import (
 // Benchmarks for the LP engine. CI runs these with -benchtime 0.5s,
 // publishes the results as BENCH_lp.json, and fails on >30% regression
 // against the committed baseline (.github/bench/BENCH_lp.json) — so the
-// set deliberately covers both back ends, the dual route, and warm
-// starts at sizes that finish quickly but still exercise the sparse
-// machinery.
+// set deliberately covers the bounded engine, the dense test oracle, the
+// dual route, and warm starts at sizes that finish quickly but still
+// exercise the sparse machinery.
 
 // benchDesignModel builds the design-shaped LP from the cross-validation
 // suite at a richer size: BASICDP ratio rows, column sums, WH floors.
@@ -47,7 +47,7 @@ func benchSolve(b *testing.B, n int, method Method) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := benchDesignModel(n, 0.9)
-		if _, err := m.SolveWith(Options{Method: method}); err != nil {
+		if _, err := m.solveBy(Options{Method: method}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,8 +55,8 @@ func benchSolve(b *testing.B, n int, method Method) {
 
 func BenchmarkSparseDesign8(b *testing.B)  { benchSolve(b, 8, MethodSparse) }
 func BenchmarkSparseDesign16(b *testing.B) { benchSolve(b, 16, MethodSparse) }
-func BenchmarkDenseDesign8(b *testing.B)   { benchSolve(b, 8, MethodDense) }
-func BenchmarkDenseDesign16(b *testing.B)  { benchSolve(b, 16, MethodDense) }
+func BenchmarkDenseDesign8(b *testing.B)   { benchSolve(b, 8, methodDense) }
+func BenchmarkDenseDesign16(b *testing.B)  { benchSolve(b, 16, methodDense) }
 func BenchmarkAutoDesign16(b *testing.B)   { benchSolve(b, 16, MethodAuto) }
 
 // BenchmarkWarmStartResolve measures re-solving a model from its own

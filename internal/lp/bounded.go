@@ -7,9 +7,9 @@ import (
 	"privcount/internal/mat"
 )
 
-// This file is the bounded-variable revised simplex: the default sparse
-// engine since the presolve/bounds work. It extends the classic revised
-// method (see revised.go, kept verbatim as the unbounded oracle) in three
+// This file is the bounded-variable revised simplex, the engine every
+// production route ends at. It extends the classic revised method (kept
+// as the unbounded test oracle in oracle_revised_test.go) in three
 // ways that together move the design LPs from n≈96 to n≥256 inside the
 // serving budget:
 //
@@ -47,8 +47,33 @@ import (
 //     entering choice toward a stale pool, and the resulting bases drag
 //     denser FTRAN/BTRAN patterns than the spread the rotation gives.)
 //     Optimality is only ever declared after a full scan over duals
-//     recomputed on a fresh factorization, exactly as in the oracle
-//     paths.
+//     recomputed on a fresh factorization, exactly as in the test
+//     oracles.
+
+// errSparseFallback marks a model or basis an engine declines: a shape
+// it does not handle (e.g. no constraint rows) or a basis the LU cannot
+// factorize. The interior point and dual routes hand such a model on to
+// the bounded simplex; SolveWith never returns the sentinel itself.
+var errSparseFallback = errors.New("lp: sparse path fallback")
+
+// errRestoreInfeasible reports that the basis found for the perturbed
+// problem is not feasible for the true right-hand sides.
+var errRestoreInfeasible = errors.New("lp: perturbed basis infeasible after restore")
+
+// refactorEvery bounds the eta file length before the basis is
+// refactorized from scratch.
+const refactorEvery = 60
+
+// eta is one product-form basis update: entering column q replaced the
+// basic variable in row r, with w = B⁻¹·a_q the transformed column.
+type eta struct {
+	r    int
+	diag float64 // w_r, the pivot element
+	idx  []int32 // rows i ≠ r with w_i ≠ 0
+	val  []float64
+}
+
+// bounded is the working state of one bounded-simplex run.
 type bounded struct {
 	model *Model
 	cf    *canonForm
@@ -138,7 +163,7 @@ func newBounded(m *Model, cf *canonForm, opts Options, perturb bool) *bounded {
 		bv.basisPos[j] = i
 	}
 	if perturb {
-		// Same deterministic scheme as the oracle paths (see revised.go).
+		// Same deterministic scheme as the test oracles.
 		const eps = 1e-9
 		h := uint64(0x9e3779b97f4a7c15)
 		for i := range bv.b {

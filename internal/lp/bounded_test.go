@@ -12,7 +12,7 @@ import (
 
 func TestBoundedUpperBoundRespected(t *testing.T) {
 	// max x + y  s.t.  x + 2y ≤ 4, x ∈ [0, 1.5]  →  x = 1.5, y = 1.25.
-	for _, method := range []Method{MethodSparse, MethodAuto, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodSparse, MethodAuto, methodDense, methodUnbounded} {
 		m := NewModel("box", Maximize)
 		x := m.AddVariable("x")
 		y := m.AddVariable("y")
@@ -22,7 +22,7 @@ func TestBoundedUpperBoundRespected(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.AddConstraint("c", []Term{{x, 1}, {y, 2}}, LE, 4)
-		sol, err := m.SolveWith(Options{Method: method})
+		sol, err := m.solveBy(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -38,7 +38,7 @@ func TestBoundedUpperBoundRespected(t *testing.T) {
 func TestBoundedLowerBoundShift(t *testing.T) {
 	// min x + y  s.t.  x + y ≥ 5, x ≥ 2, y ∈ [1, 2]  →  x = 3, y = 2 or
 	// x = 4, y = 1 — both cost 5; the objective is what's pinned.
-	for _, method := range []Method{MethodSparse, MethodAuto, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodSparse, MethodAuto, methodDense, methodUnbounded} {
 		m := NewModel("shift", Minimize)
 		x := m.AddVariable("x")
 		y := m.AddVariable("y")
@@ -47,7 +47,7 @@ func TestBoundedLowerBoundShift(t *testing.T) {
 		m.SetBounds(x, 2, math.Inf(1))
 		m.SetBounds(y, 1, 2)
 		m.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 5)
-		sol, err := m.SolveWith(Options{Method: method})
+		sol, err := m.solveBy(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -62,14 +62,14 @@ func TestBoundedLowerBoundShift(t *testing.T) {
 
 func TestBoundedFixedVariable(t *testing.T) {
 	// x fixed at 2 contributes 2y ≤ 6 − 2 to the row; optimum y = 2.
-	for _, method := range []Method{MethodSparse, MethodAuto, MethodDense} {
+	for _, method := range []Method{MethodSparse, MethodAuto, methodDense} {
 		m := NewModel("fix", Maximize)
 		x := m.AddVariable("x")
 		y := m.AddVariable("y")
 		m.SetObjective(y, 1)
 		m.SetBounds(x, 2, 2)
 		m.AddConstraint("c", []Term{{x, 1}, {y, 2}}, LE, 6)
-		sol, err := m.SolveWith(Options{Method: method})
+		sol, err := m.solveBy(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -110,13 +110,13 @@ func TestBoundedBoundFlips(t *testing.T) {
 func TestBoundedInfeasibleBox(t *testing.T) {
 	// Rows force x ≥ 3 against a box hi of 2: presolve proves it, and
 	// the oracle agrees via phase 1.
-	for _, method := range []Method{MethodAuto, MethodDense} {
+	for _, method := range []Method{MethodAuto, methodDense} {
 		m := NewModel("inf", Minimize)
 		x := m.AddVariable("x")
 		m.SetObjective(x, 1)
 		m.SetBounds(x, 0, 2)
 		m.AddConstraint("f", []Term{{x, 1}}, GE, 3)
-		_, err := m.SolveWith(Options{Method: method})
+		_, err := m.solveBy(Options{Method: method})
 		if err == nil {
 			t.Fatalf("method %d: expected infeasible", method)
 		}
@@ -174,11 +174,11 @@ func TestBoundedDenseCrossValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 120; trial++ {
 		m := randomBoxedLP(rng)
-		dense, err := m.SolveWith(Options{Method: MethodDense})
+		dense, err := m.solveBy(Options{Method: methodDense})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		unb, err := m.SolveWith(Options{Method: MethodUnboundedSparse})
+		unb, err := m.solveBy(Options{Method: methodUnbounded})
 		if err != nil {
 			t.Fatalf("trial %d: unbounded-sparse: %v", trial, err)
 		}

@@ -39,9 +39,9 @@ func buildChain(t testing.TB, n int) *Model {
 func TestSolveCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, method := range []Method{MethodAuto, MethodSparse, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodAuto, MethodSparse, methodDense, methodUnbounded} {
 		m := buildChain(t, 64)
-		sol, err := m.SolveCtx(ctx, Options{Method: method})
+		sol, err := m.solveCtxBy(ctx, Options{Method: method})
 		if err == nil {
 			t.Fatalf("method %v: canceled solve succeeded", method)
 		}
@@ -61,14 +61,14 @@ func TestSolveCtxPreCanceled(t *testing.T) {
 // an iteration boundary instead of running to optimality, on each
 // engine.
 func TestSolveCtxMidFlight(t *testing.T) {
-	for _, method := range []Method{MethodAuto, MethodDense, MethodUnboundedSparse} {
+	for _, method := range []Method{MethodAuto, methodDense, methodUnbounded} {
 		m := buildChain(t, 400)
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(2 * time.Millisecond)
 			cancel()
 		}()
-		sol, err := m.SolveCtx(ctx, Options{Method: method})
+		sol, err := m.solveCtxBy(ctx, Options{Method: method})
 		if err == nil {
 			// The solve legitimately beat the cancel; nothing to assert.
 			if sol.Status != StatusOptimal {
@@ -154,5 +154,27 @@ func TestCauseClassification(t *testing.T) {
 func TestCanceledStatusString(t *testing.T) {
 	if got := StatusCanceled.String(); got != "canceled" {
 		t.Errorf("StatusCanceled.String() = %q", got)
+	}
+}
+
+// TestIPMCancelDuringInitialization cancels an interior point solve
+// while it factors its starting point: the first FactorSym sees the dead
+// context, and the engine must report a cancellation, not a decline the
+// caller would answer by running the simplex routes.
+func TestIPMCancelDuringInitialization(t *testing.T) {
+	m := buildChain(t, 64)
+	cf := canonicalize(m)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := Options{ctx: ctx}.withDefaults(cf.m, cf.totalCols, cf.nnz())
+	sol, err := m.solveIPM(cf, opts)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled joined with context.Canceled", err)
+	}
+	if errors.Is(err, errSparseFallback) {
+		t.Fatalf("err = %v: a cancellation reported as a decline", err)
+	}
+	if sol == nil || sol.Status != StatusCanceled {
+		t.Fatalf("solution %+v, want StatusCanceled", sol)
 	}
 }

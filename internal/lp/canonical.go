@@ -6,11 +6,11 @@ import "math"
 //
 //	A·x = b,  x ≥ 0,  b ≥ 0
 //
-// shared by both solver back ends: the dense tableau materialises rows
-// from it, and the sparse revised simplex consumes the CSC columns
-// directly. Keeping one canonicalisation guarantees the two solvers
-// optimise the identical problem, which is what makes the sparse-vs-dense
-// cross-validation tests meaningful.
+// shared by every engine: the bounded simplex and the interior point
+// method consume the CSC columns directly, and the test-only dense
+// tableau materialises rows from it. Keeping one canonicalisation
+// guarantees the engines optimise the identical problem, which is what
+// makes the cross-validation tests meaningful.
 //
 // Canonicalisation per row: structural lower bounds are shifted into the
 // right-hand side (so every canonical variable lives in [0, ub] with

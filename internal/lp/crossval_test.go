@@ -31,8 +31,8 @@ func TestBealeCyclingExample(t *testing.T) {
 		m.AddConstraint("c3", []Term{{x3, 1}}, LE, 1)
 		return m
 	}
-	for _, method := range []Method{MethodSparse, MethodDense, MethodAuto} {
-		sol, err := build().SolveWith(Options{Method: method})
+	for _, method := range []Method{MethodSparse, methodDense, MethodAuto} {
+		sol, err := build().solveBy(Options{Method: method})
 		if err != nil {
 			t.Fatalf("method %d: %v", method, err)
 		}
@@ -109,7 +109,7 @@ func TestSparseDenseCrossValidation(t *testing.T) {
 		} else {
 			m = randomGeneralPositionLP(rng)
 		}
-		dense, err := m.SolveWith(Options{Method: MethodDense})
+		dense, err := m.solveBy(Options{Method: methodDense})
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
@@ -212,7 +212,7 @@ func TestSparseDegenerateLP(t *testing.T) {
 		if err := m.CheckFeasible(sol.X, 1e-7); err != nil {
 			t.Fatalf("k=%d: returned infeasible point: %v", k, err)
 		}
-		dense, err := m.SolveWith(Options{Method: MethodDense})
+		dense, err := m.solveBy(Options{Method: methodDense})
 		if err != nil {
 			t.Fatalf("k=%d dense: %v", k, err)
 		}
@@ -305,7 +305,7 @@ func TestDualRouteOnTallModel(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		m.finishSolution(viaDual, opts)
-		dense, err := m.SolveWith(Options{Method: MethodDense})
+		dense, err := m.solveBy(Options{Method: methodDense})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

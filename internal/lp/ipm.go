@@ -304,6 +304,9 @@ func (st *ipmState) newtonSolve(f *mat.SymFactor, rcHat []float64) error {
 func (st *ipmState) run(m *Model) (*Solution, error) {
 	cf := st.cf
 	if err := st.initialPoint(); err != nil {
+		if errors.Is(err, ErrCanceled) {
+			return &Solution{Status: StatusCanceled}, err
+		}
 		return nil, err
 	}
 
@@ -634,6 +637,9 @@ func (st *ipmState) initialPoint() error {
 	}
 	f, err := st.factorNormal()
 	if err != nil {
+		if errors.Is(err, ErrCanceled) || ctxErr(st.opts.ctx) != nil {
+			return canceledErr(st.opts.ctx)
+		}
 		return errors.Join(errSparseFallback, err)
 	}
 	// x̂ = Aᵀ·(A·Aᵀ)⁻¹·b

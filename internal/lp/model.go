@@ -1,26 +1,26 @@
 // Package lp is a self-contained linear-programming substrate: a model
-// builder, a sparse revised simplex (LU-factorized basis with eta-file
-// updates, devex pricing, warm starts, and automatic dualization of tall
-// models), a two-phase dense tableau simplex kept as an independent
-// oracle and fallback, dual-value extraction, and a reader/writer for an
-// lp_solve-style text format.
+// builder, a presolve pass, a bounded-variable sparse revised simplex
+// (LU-factorized basis with eta-file updates, devex pricing, warm
+// starts, and automatic dualization of tall models), a primal-dual
+// interior point method, dual-value extraction, and a reader/writer for
+// an lp_solve-style text format.
 //
 // The paper solves its constrained mechanism-design problems with
 // PyLPSolve (a wrapper over lp_solve); this package plays that role here.
 // The design LPs have O(n²) variables, ~4 rows per variable, and 1–3
-// nonzeros per row, so the revised simplex works on the sparse canonical
-// form directly (see canonical.go, revised.go, dual.go) while the dense
-// tableau cross-checks it. Solutions are checked in tests against
-// brute-force vertex enumeration, strong duality, sparse-vs-dense
-// cross-validation, and the paper's closed forms.
+// nonzeros per row, so the engines work on the sparse canonical form
+// directly (see canonical.go, bounded.go, dual.go, ipm.go). Solutions
+// are checked in tests against brute-force vertex enumeration, strong
+// duality, two test-only oracle engines (a dense tableau and an
+// unbounded revised simplex), and the paper's closed forms.
 //
 // All variables are non-negative. Beyond that, each variable carries an
 // optional [lo, hi] box (SetBounds, default [0, ∞)) that the bounded
 // revised simplex honours natively: lower bounds are shifted into the
 // right-hand sides during canonicalisation and finite upper bounds drive
 // the three-state nonbasic logic, so neither consumes a constraint row.
-// The oracle back ends (the dense tableau and the unbounded revised
-// path) see the same boxes as explicit singleton rows via expandBounds.
+// The dual route and the test oracles see the same boxes as explicit
+// singleton rows via expandBounds.
 // This matches the mechanism-design LPs exactly (probabilities are ≥ 0,
 // weak-honesty floors are lower bounds, and the column-sum equalities
 // imply ≤ 1).
@@ -231,8 +231,8 @@ func (m *Model) shiftLowerBounds() (*Model, []float64) {
 
 // expandBounds returns an equivalent model with every non-default box
 // materialised as explicit singleton rows appended after the original
-// constraints — the form the dense tableau and the unbounded revised
-// oracle understand — plus the number of rows appended. It returns the
+// constraints — the form the explicit dual and the test oracles
+// understand — plus the number of rows appended. It returns the
 // receiver itself (zero appended) when no variable is boxed; callers
 // slice the extra duals back off the returned solution.
 func (m *Model) expandBounds() (*Model, int) {

@@ -8,15 +8,15 @@ import (
 	"privcount/internal/mat"
 )
 
-// This file is the sparse revised simplex: the default solver for the
-// mechanism-design LPs. Where the dense tableau updates an O(m·n)
-// working matrix per pivot, the revised method keeps only the constraint
-// matrix in CSC form (built directly from the Model's sparse terms, see
-// canonical.go), an LU factorization of the current basis
-// (internal/mat.SparseLU), and a short eta file of product-form updates
-// that is folded into a fresh factorization every refactorEvery pivots.
-// Per-pivot work is then O(m + nnz) instead of O(m·n), which is what
-// moves the design LPs from minutes at n≈24 to seconds at n≈64.
+// This file is the unbounded revised simplex, the engine the bounded
+// one (bounded.go) grew out of, kept as a test-only cross-validation
+// oracle beside the dense tableau (oracle_tableau_test.go). It keeps
+// only the constraint matrix in CSC form, an LU factorization of the
+// current basis (internal/mat.SparseLU) and a short eta file of
+// product-form updates folded into a fresh factorization every
+// refactorEvery pivots, but it has no native variable boxes: solveBy
+// hands it the model with every box written out as a singleton row
+// (expandBounds).
 //
 // Structure shared with the dense path: two phases with artificial
 // variables, deterministic right-hand-side perturbation against the
@@ -25,33 +25,9 @@ import (
 // metadata. Pricing maintains the full reduced-cost vector
 // incrementally — each pivot updates it through the tableau row
 // αᵀ = e_rᵀ·B⁻¹·A, computed as one sparse BTRAN plus a CSR row sweep —
-// and selects the entering column by devex reference weights, which on
-// the design LPs roughly halves the pivot count relative to Dantzig
-// pricing. The vector is recomputed from fresh duals at every
-// refactorization so incremental drift cannot accumulate past the eta
-// file's lifetime.
-
-// errSparseFallback tells SolveWith to rerun the model on the dense
-// tableau (degenerate shapes the revised path does not handle, e.g. a
-// model with no constraints, or a basis the LU cannot factorize).
-var errSparseFallback = errors.New("lp: sparse path fallback")
-
-// errRestoreInfeasible reports that the basis found for the perturbed
-// problem is not feasible for the true right-hand sides.
-var errRestoreInfeasible = errors.New("lp: perturbed basis infeasible after restore")
-
-// refactorEvery bounds the eta file length before the basis is
-// refactorized from scratch.
-const refactorEvery = 60
-
-// eta is one product-form basis update: entering column q replaced the
-// basic variable in row r, with w = B⁻¹·a_q the transformed column.
-type eta struct {
-	r    int
-	diag float64 // w_r, the pivot element
-	idx  []int32 // rows i ≠ r with w_i ≠ 0
-	val  []float64
-}
+// and selects the entering column by devex reference weights. The
+// vector is recomputed from fresh duals at every refactorization so
+// incremental drift cannot accumulate past the eta file's lifetime.
 
 // revised is the working state of one revised-simplex run.
 type revised struct {
@@ -126,7 +102,7 @@ func newRevised(m *Model, cf *canonForm, opts Options, perturb bool) *revised {
 // refactorize rebuilds the LU factorization of the current basis and
 // clears the eta file. A cancelled solve context abandons the partial
 // factorization and surfaces ErrCanceled instead of the fallback
-// sentinel, so cancellation never triggers an oracle re-solve.
+// sentinel, so cancellation never triggers the dense fallback.
 func (rv *revised) refactorize() error {
 	lu, err := mat.FactorSparseCtx(rv.opts.ctx, rv.cf.m, func(k int) ([]int32, []float64) {
 		return rv.cf.column(rv.basis[k])

@@ -34,7 +34,7 @@ func TestPresolveFoldsSingletonRows(t *testing.T) {
 	if math.Abs(sol.Objective-8) > 1e-8 {
 		t.Fatalf("objective %v, want 8", sol.Objective)
 	}
-	dense, err := m.SolveWith(Options{Method: MethodDense})
+	dense, err := m.solveBy(Options{Method: methodDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestPresolveSubstitutionChainDuals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := build().SolveWith(Options{Method: MethodDense})
+	dense, err := build().solveBy(Options{Method: methodDense})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPresolveRandomChainDuals(t *testing.T) {
 		m.AddConstraint("", []Term{{x0, 0.2 + rng.Float64()}, {x1, 0.2 + rng.Float64()}}, GE, 2+4*rng.Float64())
 		m.AddConstraint("", []Term{{x0, 0.2 + rng.Float64()}, {x1, 0.2 + rng.Float64()}}, LE, 20+rng.Float64())
 		pre, preErr := m.SolveWith(Options{})
-		dense, denseErr := m.SolveWith(Options{Method: MethodDense})
+		dense, denseErr := m.solveBy(Options{Method: methodDense})
 		if (preErr == nil) != (denseErr == nil) {
 			t.Fatalf("trial %d: presolved err %v, dense err %v", trial, preErr, denseErr)
 		}
@@ -208,7 +208,7 @@ func TestPresolveInfeasibleBounds(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	// The oracle must agree that the unreduced model is infeasible.
-	if _, err := m.SolveWith(Options{Method: MethodDense}); !errors.Is(err, ErrInfeasible) {
+	if _, err := m.solveBy(Options{Method: methodDense}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("dense err = %v, want ErrInfeasible", err)
 	}
 }

@@ -6,22 +6,22 @@ import (
 )
 
 // TestUnboundedWarmStartResolve covers the legacy unbounded engine's
-// warm path: a basis token from a cold MethodUnboundedSparse solve must
+// warm path: a basis token from a cold methodUnbounded solve must
 // re-solve a coefficient-perturbed model of the same shape to the same
 // optimum the bounded engine finds, and do it in fewer pivots than its
 // own cold start. (The bounded engine's warm path has its own tests;
 // the unbounded route stays alive as a cross-validation oracle, so its
 // warm machinery needs exercising too.)
 func TestUnboundedWarmStartResolve(t *testing.T) {
-	cold, err := designLikeLP(0.7).SolveWith(Options{Method: MethodUnboundedSparse})
+	cold, err := designLikeLP(0.7).solveBy(Options{Method: methodUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldNext, err := designLikeLP(0.72).SolveWith(Options{Method: MethodUnboundedSparse})
+	coldNext, err := designLikeLP(0.72).solveBy(Options{Method: methodUnbounded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := designLikeLP(0.72).SolveWith(Options{Method: MethodUnboundedSparse, Basis: cold.Basis})
+	warm, err := designLikeLP(0.72).solveBy(Options{Method: methodUnbounded, Basis: cold.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}

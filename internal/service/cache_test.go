@@ -2,10 +2,12 @@ package service
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"privcount/internal/core"
+	"privcount/internal/design"
 )
 
 // TestConcurrentAdmissionEviction hammers a deliberately tiny cache from
@@ -170,5 +172,43 @@ func TestSpecStrings(t *testing.T) {
 		if got := fmt.Sprint(c.spec); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestEvictedChooseResultsAreReleased cycles distinct LP-backed choose
+// specs through a one-entry cache: once the design layer's result memo
+// is full, live heap after GC must stay flat, whatever the LRU evicted.
+// An unbounded memo keeps every evicted n=96 matrix (~75 KB each), which
+// grows the heap by ~1 MB over the second dozen specs.
+func TestEvictedChooseResultsAreReleased(t *testing.T) {
+	if raceEnabled {
+		t.Skip("24 sequential LP builds; the race detector slows them ~15x and the heap check involves one goroutine")
+	}
+	design.ClearCache()
+	defer design.ClearCache()
+	svc := New(Config{Capacity: 1, Shards: 1, Seed: 1})
+	build := func(first int) {
+		for k := first; k < first+24; k += 2 {
+			spec := Spec{Kind: KindChoose, N: 96, Alpha: float64(60+k) / 100,
+				Props: core.WeakHonesty | core.ColumnMonotone}
+			if _, err := svc.Sample(spec, 0); err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	build(0) // α = 0.60, 0.62, …, 0.82
+	before := liveHeap()
+	build(1) // α = 0.61, 0.63, …, 0.83
+	after := liveHeap()
+	t.Logf("live heap %d -> %d bytes", before, after)
+	if after > before+256<<10 {
+		t.Fatalf("live heap grew %d -> %d bytes over 12 more distinct specs", before, after)
 	}
 }
