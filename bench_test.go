@@ -249,9 +249,10 @@ func BenchmarkDesignChooseN24(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignAlphaSweepWarm measures an α-sweep at n=16 with the
-// warm-basis reuse that internal/figures leans on: after the first
-// solve, each step starts from the previous optimal basis.
+// BenchmarkDesignAlphaSweepWarm measures an α-sweep at n=16, the shape
+// internal/figures runs. Each step is a cold solve from the geometric
+// crash vertex (design keeps no basis between solves); the name is kept
+// so the committed baseline still applies.
 func BenchmarkDesignAlphaSweepWarm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,12 @@ import (
 	"strconv"
 )
 
+// StreamFlushEvery is the flush window of a binary /v2/query stream, in
+// frames: Stream.Send pushes its buffered ops to the transport every
+// StreamFlushEvery ops (and at CloseSend), and the server flushes its
+// results as often.
+const StreamFlushEvery = 64
+
 // Stream is a live binary /v2/query exchange: ops go up and results
 // come back positionally over one HTTP request, with no cap on the op
 // count and no per-request JSON overhead. Obtain one with
@@ -30,6 +36,7 @@ type Stream struct {
 
 	resp    *http.Response // set by first Recv
 	fr      *FrameReader
+	sent    int // ops framed by Send
 	sendErr error
 	recvErr error
 }
@@ -82,12 +89,15 @@ func (s *Stream) Send(op *Op) error {
 		s.sendErr = err
 		return err
 	}
-	// Flush through the pipe so the server sees the op immediately;
-	// without it a frame could sit in the bufio buffer while the caller
-	// waits on Recv.
-	if err := s.fw.Flush(); err != nil {
-		s.sendErr = err
-		return err
+	// Flush through the pipe once per window, as the server flushes its
+	// results: one write system call per StreamFlushEvery ops rather
+	// than per op. CloseSend flushes the rest.
+	s.sent++
+	if s.sent%StreamFlushEvery == 0 {
+		if err := s.fw.Flush(); err != nil {
+			s.sendErr = err
+			return err
+		}
 	}
 	return nil
 }

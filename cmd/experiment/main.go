@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,7 +64,9 @@ func main() {
 	}
 
 	for _, f := range figs {
-		printFigure(f)
+		if err := printFigure(os.Stdout, f); err != nil {
+			fatal(err)
+		}
 		if *outDir != "" {
 			if err := writeFigure(*outDir, f); err != nil {
 				fatal(err)
@@ -72,8 +75,10 @@ func main() {
 	}
 }
 
-func printFigure(f *figures.Figure) {
-	fmt.Printf("==== %s: %s ====\n", f.ID, f.Title)
+// printFigure writes f's section of the report: its heading, heatmaps,
+// TSV tables and notes.
+func printFigure(w io.Writer, f *figures.Figure) error {
+	fmt.Fprintf(w, "==== %s: %s ====\n", f.ID, f.Title)
 	if len(f.Heatmaps) > 0 {
 		labels := make([]string, len(f.Heatmaps))
 		ms := make([]*mat.Dense, len(f.Heatmaps))
@@ -81,18 +86,19 @@ func printFigure(f *figures.Figure) {
 			labels[i] = h.Label
 			ms[i] = h.M
 		}
-		fmt.Println(heatmap.SideBySide(labels, ms))
+		fmt.Fprintln(w, heatmap.SideBySide(labels, ms))
 	}
 	for _, t := range f.Tables {
-		if err := t.WriteTSV(os.Stdout); err != nil {
-			fatal(err)
+		if err := t.WriteTSV(w); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	for _, n := range f.Notes {
-		fmt.Println("  *", n)
+		fmt.Fprintln(w, "  *", n)
 	}
-	fmt.Println()
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 func writeFigure(dir string, f *figures.Figure) error {

@@ -50,8 +50,9 @@ func (n *Node) syncOnce() {
 // GET (If-None-Match on the artifact's content ETag): a 304 confirms
 // the replicas agree, a 200 with a different ETag is counted as a
 // conflict and the local copy is kept — artifacts are content-addressed
-// and deterministic, so a conflict signals peer divergence worth
-// alerting on, not data to merge.
+// and every build, LP solves included, is a function of its spec alone,
+// so a conflict signals peer divergence worth alerting on, not data to
+// merge.
 //
 // The returned error aggregates per-peer failures; a partially failed
 // pass still imports everything reachable. Tests drive this directly;

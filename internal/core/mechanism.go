@@ -39,16 +39,10 @@ var ErrInvalidMechanism = errors.New("core: invalid mechanism")
 
 // New validates m as a column-stochastic (n+1)×(n+1) matrix and wraps it
 // as a Mechanism. alpha records the design privacy parameter (pass 0 if
-// unknown); it is advisory — use SatisfiesDP to verify. The matrix is
-// cloned, so later changes to m do not affect the mechanism.
+// unknown); it is advisory — use SatisfiesDP to verify. The mechanism
+// takes ownership of m: the caller must not change it afterwards (clone
+// first to keep a mutable copy).
 func New(name string, n int, alpha float64, m *mat.Dense) (*Mechanism, error) {
-	return adopt(name, n, alpha, m.Clone())
-}
-
-// adopt is New without the defensive clone, for constructors that hand
-// over a matrix nothing else references: it saves an (n+1)² copy per
-// build.
-func adopt(name string, n int, alpha float64, m *mat.Dense) (*Mechanism, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: group size n=%d, want >= 1: %w", n, ErrInvalidMechanism)
 	}

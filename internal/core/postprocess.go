@@ -27,7 +27,7 @@ func PostProcess(m *Mechanism, t *mat.Dense) (*Mechanism, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: PostProcess: %w", err)
 	}
-	return adopt(m.name+"+post", m.n, m.alpha, p)
+	return New(m.name+"+post", m.n, m.alpha, p)
 }
 
 // RemapTable builds the deterministic post-processing matrix for an

@@ -24,7 +24,7 @@ import (
 
 // Representative returns the spec CheckEnvelope measures for kind:
 // large enough that the construction exercises its real cost class
-// (dense table fills, a warm-start simplex solve, a cold epigraph
+// (dense table fills, a crash-started simplex solve, an epigraph
 // solve) and that the (n+1)² tables dominate the entry's live heap,
 // small enough that the whole harness stays a unit test. The closed
 // forms build in well under a second, so they run at n=256, where the resident

@@ -51,8 +51,7 @@ const bandClearance = 3
 const bandMatchTol = 1e-9
 
 // bandMinN is the group size at which the band path takes over from the
-// full LP. Below it the full solve is already cheap and keeps the
-// warm-basis α-sweep machinery exercised.
+// full LP. Below it the full solve is already cheap.
 const bandMinN = 256
 
 // bandMaxDepth caps the band depth the reduced path will attempt. Very
@@ -340,7 +339,7 @@ func solveBand(ctx context.Context, p Problem, obj Objective) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol, err := solveWarm(ctx, bm.model, warmKey{n: p.N, props: p.Props, p: obj.P, d: -1, band: d, reduce: true}, bm.crash)
+		sol, err := bm.model.SolveCtx(ctx, lp.Options{CrashRows: bm.crash})
 		if err != nil {
 			return nil, fmt.Errorf("design: band n=%d alpha=%g d=%d: %w", p.N, p.Alpha, d, err)
 		}

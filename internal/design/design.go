@@ -100,10 +100,9 @@ func Solve(p Problem) (*Result, error) {
 
 // SolveCtx is Solve under a context: the LP engine checks ctx at every
 // pivot and factorization boundary, so cancelling it abandons the solve
-// promptly with an error wrapping lp.ErrCanceled. A cancelled solve
-// stores nothing in the warm-basis cache — the next solve of the same
-// family cold-starts (or reuses the previous completed basis) exactly as
-// if the cancelled attempt had never run.
+// promptly with an error wrapping lp.ErrCanceled. Every solve starts
+// cold from the problem's crash hint, so the result is a function of the
+// problem alone: no earlier solve, finished or cancelled, can change it.
 func SolveCtx(ctx context.Context, p Problem) (*Result, error) {
 	if p.N < 1 {
 		return nil, fmt.Errorf("design: n=%d, want >= 1", p.N)
@@ -153,7 +152,7 @@ func SolveCtx(ctx context.Context, p Problem) (*Result, error) {
 	}
 
 	crash := b.finishModel()
-	sol, err := solveWarm(ctx, b.model, warmKey{n: p.N, props: p.Props, p: obj.P, d: -1, reduce: reduce}, crash)
+	sol, err := b.model.SolveCtx(ctx, lp.Options{CrashRows: crash})
 	if err != nil {
 		return nil, fmt.Errorf("design: n=%d alpha=%g props=%s: %w",
 			p.N, p.Alpha, core.PropertySetString(p.Props), err)

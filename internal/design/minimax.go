@@ -74,14 +74,12 @@ func SolveMinimaxCtx(ctx context.Context, p Problem) (*Result, error) {
 	// epigraph row to fix the cardinality) is primal-infeasible in the
 	// dual — a minimax optimum spreads its objective duals across every
 	// worst-case column — so the simplex would reject it after paying
-	// for a basis factorization. Cold minimax solves therefore go to the
+	// for a basis factorization. Minimax solves therefore go to the
 	// interior point engine instead, whose iteration count is indifferent
 	// to the degenerate vertex structure that stalls a cold simplex on
-	// these LPs (tens of minutes at n=128; ~1.4 s via IPM). A cached
-	// warm basis, when one exists, still routes to the simplex.
+	// these LPs (tens of minutes at n=128; ~1.4 s via IPM).
 	b.finishModel()
-	var crash []int
-	sol, err := solveWarmCold(ctx, b.model, warmKey{n: p.N, props: p.Props, p: obj.P, d: -1, minimax: true, reduce: reduce}, crash, lp.MethodIPM)
+	sol, err := b.model.SolveCtx(ctx, lp.Options{Method: lp.MethodIPM})
 	if err != nil {
 		return nil, fmt.Errorf("design: minimax n=%d alpha=%g props=%s: %w",
 			p.N, p.Alpha, core.PropertySetString(p.Props), err)

@@ -10,8 +10,8 @@ import (
 )
 
 // This file provides the paper's named LP mechanisms and the Figure 5
-// decision procedure, with a process-wide cache so experiment sweeps do
-// not re-solve identical LPs.
+// decision procedure, with a process-wide result memo so experiment
+// sweeps do not re-solve identical LPs.
 
 // WMProps is the property set the paper settles on for WM after the
 // Figure 8 study: weak honesty with both monotonicity properties
@@ -41,90 +41,6 @@ var (
 // arbitrary entries are evicted — the memo is an accelerator, not a
 // correctness structure.
 const maxCachedCells = 1 << 17
-
-// warmKey identifies a family of structurally identical design LPs: the
-// constraint pattern depends on (n, props, reduce, objective kind) but
-// not on α, so the optimal basis of one solve warm-starts the next one
-// across an α-sweep (internal/figures) or repeated service admissions.
-type warmKey struct {
-	n       int
-	props   core.PropertySet
-	p       float64
-	d       int // L0D distance; -1 for the plain objectives
-	band    int // band-path depth; 0 for full-matrix solves
-	minimax bool
-	reduce  bool
-}
-
-var (
-	warmMu    sync.Mutex
-	warmBases = map[warmKey][]int{}
-)
-
-// maxWarmBases caps the warm-basis cache. A basis is ~one int per LP
-// row (tens of KB at serving sizes) and the key includes the
-// request-controlled objective exponent, so without a bound a stream of
-// distinct LP specs would grow the map forever. Sweeps hit one key
-// repeatedly, so a small cap loses nothing.
-const maxWarmBases = 64
-
-// warmBasis returns the last optimal basis seen for the key, or nil.
-func warmBasis(k warmKey) []int {
-	warmMu.Lock()
-	defer warmMu.Unlock()
-	return warmBases[k]
-}
-
-// storeWarmBasis records the optimal basis of a finished solve. The LP
-// layer validates shape compatibility on reuse, so a stale or mismatched
-// basis can cost at most a cold start. At capacity an arbitrary entry is
-// evicted — the cache is a best-effort accelerator, not a correctness
-// structure.
-func storeWarmBasis(k warmKey, basis []int) {
-	if basis == nil {
-		return
-	}
-	warmMu.Lock()
-	if _, exists := warmBases[k]; !exists && len(warmBases) >= maxWarmBases {
-		for victim := range warmBases {
-			delete(warmBases, victim)
-			break
-		}
-	}
-	warmBases[k] = basis
-	warmMu.Unlock()
-}
-
-// solveWarm solves the builder's model, reusing and refreshing the
-// warm-basis cache for the key. A previous optimal basis (same key, e.g.
-// a neighbouring α) wins over the structural crash hint; the hint makes
-// cold solves start at the geometric-mechanism vertex instead of an
-// all-slack basis. Failed solves — cancellations included — store
-// nothing, so an abandoned build can never poison the cache with a
-// half-pivoted basis.
-func solveWarm(ctx context.Context, m *lp.Model, k warmKey, crash []int) (*lp.Solution, error) {
-	return solveWarmCold(ctx, m, k, crash, lp.MethodAuto)
-}
-
-// solveWarmCold is solveWarm with an explicit engine for cold starts:
-// when neither a cached basis nor a crash hint seeds the solve,
-// coldMethod picks the engine. The minimax path passes the interior
-// point method here — its epigraph LPs have no crash vertex and drown
-// a cold simplex in degenerate pivots — while any available basis still
-// routes to the simplex, which exploits it for nearly-free re-solves.
-func solveWarmCold(ctx context.Context, m *lp.Model, k warmKey, crash []int, coldMethod lp.Method) (*lp.Solution, error) {
-	basis := warmBasis(k)
-	method := lp.MethodAuto
-	if len(basis) == 0 && len(crash) == 0 {
-		method = coldMethod
-	}
-	sol, err := m.SolveCtx(ctx, lp.Options{Basis: basis, CrashRows: crash, Method: method})
-	if err != nil {
-		return nil, err
-	}
-	storeWarmBasis(k, sol.Basis)
-	return sol, nil
-}
 
 // solveCached solves with symmetry reduction enabled and memoises on
 // (n, alpha, props, objective-p) for uniform-weight problems. Errors —
@@ -171,15 +87,12 @@ func storeCached(key cacheKey, r *Result) {
 	cacheCells += cells
 }
 
-// ClearCache drops all memoised LP results and warm-start bases (used by
-// benchmarks that want to measure cold solves).
+// ClearCache drops all memoised LP results (used by benchmarks that
+// want to measure cold solves).
 func ClearCache() {
 	cacheMu.Lock()
 	cache, cacheCells = map[cacheKey]*Result{}, 0
 	cacheMu.Unlock()
-	warmMu.Lock()
-	warmBases = map[warmKey][]int{}
-	warmMu.Unlock()
 }
 
 // WM returns the paper's weakly-honest mechanism for L0: the LP optimum
@@ -262,7 +175,7 @@ func buildL0D(n int, alpha float64, d int, weights []float64, props core.Propert
 		}
 	}
 	crash := b.finishModel()
-	sol, err := solveWarm(context.Background(), b.model, warmKey{n: n, props: props, d: d, reduce: reduce}, crash)
+	sol, err := b.model.SolveCtx(context.Background(), lp.Options{CrashRows: crash})
 	if err != nil {
 		return nil, fmt.Errorf("design: L0D n=%d alpha=%g d=%d: %w", n, alpha, d, err)
 	}

@@ -40,9 +40,9 @@ var whCombos = []struct {
 }
 
 // solveCombo solves one (n, α, props) design LP. Sweeps call it with a
-// fixed property set while only α (or n) varies; the design layer keys
-// its warm-basis cache on the constraint pattern, so each α step after
-// the first re-solves from the previous optimal basis instead of cold.
+// fixed property set while only α (or n) varies; each solve starts cold
+// from the geometric crash vertex, so a point of the sweep does not
+// depend on the points solved before it.
 func solveCombo(n int, alpha float64, extra core.PropertySet) (float64, error) {
 	props := core.WeakHonesty | core.Symmetry | extra
 	r, err := design.Solve(design.Problem{

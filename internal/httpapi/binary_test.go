@@ -376,7 +376,7 @@ func TestBinaryStreamPipelined(t *testing.T) {
 	req.Header.Set("Content-Type", client.ContentTypeBinary)
 	req.Header.Set("Accept", client.ContentTypeBinary)
 	done := make(chan error, 1)
-	const n = 3 * streamFlushEvery
+	const n = 3 * client.StreamFlushEvery
 	go func() {
 		fw := client.NewFrameWriter(pw)
 		for i := 0; i < n; i++ {
@@ -449,7 +449,7 @@ func TestBinaryStreamOutlivesServerTimeouts(t *testing.T) {
 			if b > 0 {
 				time.Sleep(50 * time.Millisecond)
 			}
-			for i := 0; i < streamFlushEvery; i++ {
+			for i := 0; i < client.StreamFlushEvery; i++ {
 				op := client.Op{Op: "sample", ID: "gm:n=8:a=0.5", Count: i % 9}
 				if err := fw.WriteOp(&op); err != nil {
 					done <- err
@@ -480,8 +480,8 @@ func TestBinaryStreamOutlivesServerTimeouts(t *testing.T) {
 	if werr := <-done; werr != nil {
 		t.Fatal(werr)
 	}
-	if len(results) != batches*streamFlushEvery {
-		t.Fatalf("%d results, want %d", len(results), batches*streamFlushEvery)
+	if len(results) != batches*client.StreamFlushEvery {
+		t.Fatalf("%d results, want %d", len(results), batches*client.StreamFlushEvery)
 	}
 	if lived := time.Since(start); lived < 4*ts.Config.ReadTimeout {
 		t.Fatalf("stream lived %v, want well past the %v server timeouts", lived, ts.Config.ReadTimeout)

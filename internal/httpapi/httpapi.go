@@ -641,16 +641,11 @@ func writeBinaryResults(w http.ResponseWriter, results []client.OpResult) {
 	}
 }
 
-// streamFlushEvery bounds how many result frames may sit buffered
-// before the stream is pushed to the client, so a peer pipelining ops
-// against results makes progress without waiting for the whole stream.
-const streamFlushEvery = 64
-
 // streamDeadline is how far each flush pushes a binary stream's read
 // and write deadlines. The server's ReadTimeout and WriteTimeout bound
 // a whole request, which would cut off a long stream that is still
-// making progress; a stream that answers no streamFlushEvery ops within
-// this long still dies.
+// making progress; a stream that answers no client.StreamFlushEvery ops
+// within this long still dies.
 const streamDeadline = 30 * time.Second
 
 // queryStream is the binary-in/binary-out data plane: a sequential
@@ -693,7 +688,10 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 		if err := fw.WriteResult(&res); err != nil {
 			return
 		}
-		if (n+1)%streamFlushEvery == 0 {
+		// Push results once per client.StreamFlushEvery, the SDK's send
+		// window, so a peer pipelining ops against results makes
+		// progress without waiting for the whole stream.
+		if (n+1)%client.StreamFlushEvery == 0 {
 			// Errors mean the writer cannot move deadlines (e.g. a
 			// recorder); the server's own timeouts then stand.
 			deadline := time.Now().Add(streamDeadline)

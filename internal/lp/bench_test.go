@@ -8,9 +8,9 @@ import (
 // Benchmarks for the LP engine. CI runs these with -benchtime 0.5s,
 // publishes the results as BENCH_lp.json, and fails on >30% regression
 // against the committed baseline (.github/bench/BENCH_lp.json) — so the
-// set deliberately covers the bounded engine, the dense test oracle, the
-// dual route, and warm starts at sizes that finish quickly but still
-// exercise the sparse machinery.
+// set deliberately covers the bounded engine, the dense test oracle and
+// the dual route at sizes that finish quickly but still exercise the
+// sparse machinery.
 
 // benchDesignModel builds the design-shaped LP from the cross-validation
 // suite at a richer size: BASICDP ratio rows, column sums, WH floors.
@@ -58,23 +58,6 @@ func BenchmarkSparseDesign16(b *testing.B) { benchSolve(b, 16, MethodSparse) }
 func BenchmarkDenseDesign8(b *testing.B)   { benchSolve(b, 8, methodDense) }
 func BenchmarkDenseDesign16(b *testing.B)  { benchSolve(b, 16, methodDense) }
 func BenchmarkAutoDesign16(b *testing.B)   { benchSolve(b, 16, MethodAuto) }
-
-// BenchmarkWarmStartResolve measures re-solving a model from its own
-// optimal basis — the serving-path case of an α-sweep step.
-func BenchmarkWarmStartResolve(b *testing.B) {
-	cold, err := benchDesignModel(16, 0.9).SolveWith(Options{Method: MethodSparse})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := benchDesignModel(16, 0.9)
-		if _, err := m.SolveWith(Options{Method: MethodSparse, Basis: cold.Basis}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkCanonicalize isolates the Model → CSC standard-form build.
 func BenchmarkCanonicalize(b *testing.B) {

@@ -1095,7 +1095,6 @@ func (bv *bounded) finish(cost []float64) (*Solution, error) {
 		Iterations:       bv.iters,
 		BoundFlips:       bv.flips,
 		Refactorizations: bv.refacts,
-		Basis:            append([]int(nil), bv.basis...),
 	}
 	for j := 0; j < bv.cf.nStruct; j++ {
 		var v float64
@@ -1458,13 +1457,14 @@ func (bv *bounded) runWarm(warm []int) (sol *Solution, ok bool) {
 }
 
 // solveBounded runs the bounded-variable revised simplex on the
-// canonical form: warm-started when Options.Basis applies, otherwise the
-// perturbed two-phase solve with an unperturbed retry.
-func (m *Model) solveBounded(cf *canonForm, opts Options) (*Solution, error) {
+// canonical form: started from the basis warm when it applies (the dual
+// route's crash-seeded start; nil for none), otherwise the perturbed
+// two-phase solve with an unperturbed retry.
+func (m *Model) solveBounded(cf *canonForm, opts Options, warm []int) (*Solution, error) {
 	if cf.m == 0 {
 		return nil, errSparseFallback
 	}
-	if opts.Basis != nil {
+	if warm != nil {
 		// Warm runs carry the same anti-degeneracy perturbation as cold
 		// ones: a crash basis can still be thousands of pivots from the
 		// optimum, and finish() restores the true data either way. A
@@ -1472,7 +1472,7 @@ func (m *Model) solveBounded(cf *canonForm, opts Options) (*Solution, error) {
 		// regardless (reduced costs do not depend on the right-hand
 		// side).
 		bv := newBounded(m, cf, opts, true)
-		if sol, ok := bv.runWarm(opts.Basis); ok {
+		if sol, ok := bv.runWarm(warm); ok {
 			return sol, nil
 		}
 		if ctxErr(opts.ctx) != nil {

@@ -153,14 +153,15 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		return nil, errSparseFallback
 	}
 	cf := canonicalize(d)
-	if opts.Basis == nil && len(opts.CrashRows) > 0 {
+	var warm []int
+	if len(opts.CrashRows) > 0 {
 		// Seed an advanced basis from the caller's hint: the hinted
 		// primal rows' dual variables are basic. In the dual space a
 		// basis has exactly one column per dual row (= primal variable),
 		// so the hint only applies when its cardinality works out;
 		// solveBounded validates the rest (non-singularity, primal
 		// feasibility) and cold-starts on any mismatch.
-		warm := make([]int, 0, len(opts.CrashRows))
+		warm = make([]int, 0, len(opts.CrashRows))
 		for _, r := range opts.CrashRows {
 			if r < 0 || r >= len(refs) {
 				warm = nil
@@ -183,11 +184,11 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		if n := len(warm); n > 0 && n < cf.m {
 			warm = completeWarmBasis(cf, warm)
 		}
-		if len(warm) == cf.m {
-			opts.Basis = warm
+		if len(warm) != cf.m {
+			warm = nil
 		}
 	}
-	dsol, err := d.solveBounded(cf, opts)
+	dsol, err := d.solveBounded(cf, opts, warm)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {
 			return dsol, err
@@ -201,7 +202,6 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		Iterations:       dsol.Iterations,
 		BoundFlips:       dsol.BoundFlips,
 		Refactorizations: dsol.Refactorizations,
-		Basis:            dsol.Basis,
 	}
 	// Strong duality: the primal optimum sits in the dual solve's duals
 	// (one dual constraint per primal variable, in order).

@@ -11,8 +11,8 @@ import (
 // This file implements a primal-dual interior-point method (Mehrotra's
 // predictor-corrector) over the bounded canonical form, as an
 // alternative engine to the revised simplex. The two have opposite cost
-// profiles: simplex pays per pivot and wins whenever a warm or crash
-// basis starts it near the optimum (the design α-sweeps), while the
+// profiles: simplex pays per pivot and wins whenever a crash basis
+// starts it near the optimum (the design LPs' geometric vertex), while the
 // interior point method pays a fixed ~20–40 iterations of one sparse
 // symmetric factorization each, independent of how degenerate the
 // vertex structure is — which is exactly where cold large-model simplex
@@ -33,7 +33,7 @@ import (
 // Termination is by direct high-accuracy convergence — relative primal
 // and dual residuals and duality gap all under ipmTol — rather than by
 // crossover to a basis; the simplex remains the engine of choice when a
-// basis (warm or crash) is wanted.
+// crash basis is on offer.
 
 // ipmTol is the relative convergence target for residuals and duality
 // gap. It sits well under the 1e-6 agreement the cross-validation suite
@@ -59,12 +59,12 @@ const ipmDivergence = 1e13
 const ipmMinRows = 20000
 
 // wantIPM reports whether the auto method should try the interior
-// point engine first: large models with no basis to exploit. Warm and
-// crash hints keep the simplex (a hinted solve is a few hundred pivots
-// — far cheaper than any from-scratch method), and small models solve
-// in milliseconds either way.
+// point engine first: large models with no basis to exploit. Crash
+// hints keep the simplex (a hinted solve is a few hundred pivots — far
+// cheaper than any from-scratch method), and small models solve in
+// milliseconds either way.
 func wantIPM(cf *canonForm, opts Options) bool {
-	if len(opts.Basis) > 0 || len(opts.CrashRows) > 0 {
+	if len(opts.CrashRows) > 0 {
 		return false
 	}
 	return cf.m >= ipmMinRows

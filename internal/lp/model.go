@@ -1,6 +1,6 @@
 // Package lp is a self-contained linear-programming substrate: a model
 // builder, a presolve pass, a bounded-variable sparse revised simplex
-// (LU-factorized basis with eta-file updates, devex pricing, warm
+// (LU-factorized basis with eta-file updates, devex pricing, crash
 // starts, and automatic dualization of tall models), a primal-dual
 // interior point method, dual-value extraction, and a reader/writer for
 // an lp_solve-style text format.

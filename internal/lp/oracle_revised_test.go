@@ -566,7 +566,6 @@ func (rv *revised) finish(cost []float64) (*Solution, error) {
 		X:                make([]float64, rv.cf.nStruct),
 		Iterations:       rv.iters,
 		Refactorizations: rv.refacts,
-		Basis:            append([]int(nil), rv.basis...),
 	}
 	for i, j := range rv.basis {
 		if j < rv.cf.nStruct {
@@ -645,73 +644,12 @@ func (rv *revised) run() (*Solution, error) {
 	return rv.finish(cost2)
 }
 
-// runWarm solves starting from a caller-provided basis (typically the
-// Basis of a Solution to a neighbouring model, e.g. the previous α in a
-// sweep). It reports ok=false when the warm solve cannot deliver an
-// optimum — wrong shape, contains an artificial, singular, primal
-// infeasible here, or the run itself fails — in which case the caller
-// should cold-start.
-func (rv *revised) runWarm(warm []int) (sol *Solution, ok bool) {
-	cf := rv.cf
-	if len(warm) != cf.m {
-		return nil, false
-	}
-	seen := make([]bool, cf.totalCols)
-	for _, j := range warm {
-		if j < 0 || j >= cf.totalCols || cf.isArtificial(j) || seen[j] {
-			return nil, false
-		}
-		seen[j] = true
-	}
-	for j := range rv.basisPos {
-		rv.basisPos[j] = -1
-	}
-	copy(rv.basis, warm)
-	for i, j := range rv.basis {
-		rv.basisPos[j] = i
-	}
-	if err := rv.refactorize(); err != nil {
-		return nil, false
-	}
-	rv.recomputeXB()
-	for _, v := range rv.xB {
-		if v < -1e-7 {
-			return nil, false // primal infeasible here; cold-start
-		}
-	}
-
-	cost2 := rv.phase2Cost()
-	st, err := rv.runPhase(cost2, func(j int) bool { return !rv.cf.isArtificial(j) }, true)
-	if err != nil || st != StatusOptimal {
-		// A warm basis must cost at most a cold start: a stale basis that
-		// stalls into the iteration limit (or drifts into an unbounded
-		// reading) is not a verdict about the model — hand the solve back
-		// to the cold perturbed path.
-		return nil, false
-	}
-	sol, err = rv.finish(cost2)
-	if err != nil {
-		return nil, false
-	}
-	return sol, true
-}
-
-// solveSparse runs the revised simplex on the canonical form: a
-// warm-started run when Options.Basis applies, otherwise the perturbed
-// two-phase solve with an unperturbed retry should the perturbed basis
-// turn out infeasible for the true data.
+// solveSparse runs the revised simplex on the canonical form: the
+// perturbed two-phase solve with an unperturbed retry should the
+// perturbed basis turn out infeasible for the true data.
 func (m *Model) solveSparse(cf *canonForm, opts Options) (*Solution, error) {
 	if cf.m == 0 {
 		return nil, errSparseFallback
-	}
-	if opts.Basis != nil {
-		rv := newRevised(m, cf, opts, false)
-		if sol, ok := rv.runWarm(opts.Basis); ok {
-			return sol, nil
-		}
-		if ctxErr(opts.ctx) != nil {
-			return &Solution{Status: StatusCanceled}, canceledErr(opts.ctx)
-		}
 	}
 	rv := newRevised(m, cf, opts, true)
 	sol, err := rv.run()

@@ -435,7 +435,6 @@ func (t *tableau) solve(opts Options) (*Solution, error) {
 		Status:     StatusOptimal,
 		X:          make([]float64, t.nStruct),
 		Iterations: iters,
-		Basis:      append([]int(nil), t.basis...),
 	}
 	for i := 0; i < t.m; i++ {
 		if b := t.basis[i]; b < t.nStruct {

@@ -300,7 +300,7 @@ func presolve(m *Model) (*presolved, error) {
 		keyBuf = append(keyBuf[:0], r.terms...)
 		// Insertion sort: rows here have a handful of terms, and this runs
 		// once per row per solve — sort.Slice's reflection overhead shows
-		// up on the warm re-solve path.
+		// up on cheap re-solves.
 		for a := 1; a < len(keyBuf); a++ {
 			for b := a; b > 0 && keyBuf[b].Var < keyBuf[b-1].Var; b-- {
 				keyBuf[b], keyBuf[b-1] = keyBuf[b-1], keyBuf[b]

@@ -72,16 +72,6 @@ type Solution struct {
 	// bounded revised simplex. On the interior point route it counts LDLᵀ factorizations of the normal equations
 	// — one per predictor-corrector iteration.
 	Refactorizations int
-	// Basis is an opaque warm-start token: the final basis of whichever
-	// solver route produced this solution (for the automatic dual route
-	// it indexes the dual's canonical columns, not this model's, and
-	// after presolve it indexes the reduced model's rows). Feed it to
-	// Options.Basis of a solve with the identical constraint shape and
-	// the same Method — e.g. the same design LP at a neighbouring α —
-	// where presolve and route selection repeat deterministically; a
-	// basis that does not fit the shape is ignored and the solve
-	// cold-starts.
-	Basis []int
 	// Presolve reports the reductions applied before the solve (zero
 	// under Options.NoPresolve).
 	Presolve PresolveStats
@@ -133,7 +123,9 @@ const (
 	MethodIPM
 )
 
-// Options tunes the simplex solver. The zero value selects defaults.
+// Options tunes a solve. The zero value selects defaults. Nothing
+// carries over from one solve to the next: the result is a function of
+// the model and these options alone.
 type Options struct {
 	// MaxIterations bounds total pivots across both phases. 0 scales the
 	// budget with the model: max(20000, 200·(rows+cols), 25·nonzeros),
@@ -146,13 +138,6 @@ type Options struct {
 	Tol float64
 	// Method picks the solver back end; the zero value is MethodAuto.
 	Method Method
-	// Basis warm-starts the sparse solver from a previous Solution.Basis.
-	// It must come from a solve of a model with the identical canonical
-	// constraint shape (same rows, columns, and operators — coefficients
-	// may differ) under the same Method, so the token was produced by
-	// the same solver route; a basis that does not apply is ignored and
-	// the solve cold-starts.
-	Basis []int
 	// NoPresolve skips the presolve reductions, so the engines see the
 	// model as built. Used by tests that pin the presolved and unreduced
 	// solves against each other.
@@ -165,8 +150,7 @@ type Options struct {
 	// costs nothing but the attempt. design uses this to start the
 	// BASICDP LPs at the geometric-mechanism vertex (column sums plus the
 	// away-from-diagonal ratio rows), which cuts cold-solve pivot counts
-	// by an order of magnitude. An explicit Options.Basis wins over the
-	// hint.
+	// by an order of magnitude.
 	CrashRows []int
 
 	// ctx carries the cancellation signal set by SolveCtx. Every solver
@@ -238,12 +222,13 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) (*Solution, error) {
 
 // SolveWith optimises the model. On the auto method it presolves the
 // model, then runs one route: the interior point method (ipm.go) for
-// large models without warm-start hints, the dual route (dual.go) for
+// large models without crash hints, the dual route (dual.go) for
 // tall ones, and the bounded-variable revised simplex (bounded.go),
 // which ends the route; a model presolve reduces to no rows is solved
 // directly. The interior point and dual routes hand the model on to the
 // next when they decline it or return a point that fails the 1e-7
-// feasibility check.
+// feasibility check. Every solve starts cold, from the crash hint when
+// Options.CrashRows supplies one that applies.
 //
 // It returns ErrInfeasible, ErrUnbounded, or ErrIterationLimit for those
 // outcomes (with a Solution carrying the matching Status), ErrCanceled
@@ -324,9 +309,9 @@ func (m *Model) solveReduced(opts Options) (*Solution, error) {
 	opts = opts.withDefaults(cf.m, cf.totalCols, cf.nnz())
 
 	// Interior point first: forced by MethodIPM, or auto-picked for
-	// models past the normal-equations crossover that carry no
-	// warm-start hints (a hinted basis makes the simplex nearly free,
-	// which no cold IPM matches). On the auto route only an optimal,
+	// models past the normal-equations crossover that carry no crash
+	// hint (a hinted basis makes the simplex nearly free, which no cold
+	// IPM matches). On the auto route only an optimal,
 	// feasibility-checked point is accepted — IPM infeasibility and
 	// unboundedness verdicts come from iterate divergence, so the
 	// simplex chain re-derives them with its Farkas-definitive tests.
@@ -360,7 +345,7 @@ func (m *Model) solveReduced(opts Options) (*Solution, error) {
 			return sol, nil
 		}
 	}
-	sol, err := m.solveBounded(cf, opts)
+	sol, err := m.solveBounded(cf, opts, nil)
 	if errors.Is(err, ErrCanceled) {
 		// A cancellation is not a verdict about the model: return it
 		// rather than re-deriving anything on a fallback route.

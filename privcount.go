@@ -146,9 +146,10 @@ func NewTruncatedLaplace(n int, alpha float64) (*Mechanism, error) {
 
 // FromMatrix wraps a user-supplied column-stochastic matrix as a
 // Mechanism after validation. alpha records the intended privacy level
-// (verify with SatisfiesDP).
+// (verify with SatisfiesDP). The matrix is copied, so later changes to m
+// do not affect the mechanism.
 func FromMatrix(name string, n int, alpha float64, m *Matrix) (*Mechanism, error) {
-	return core.New(name, n, alpha, m)
+	return core.New(name, n, alpha, m.Clone())
 }
 
 // Symmetrize applies Theorem 1: it returns the centro-symmetric average

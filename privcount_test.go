@@ -38,12 +38,19 @@ func TestFacadeFromMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := FromMatrix("copy", 3, 0.9, um.Matrix())
+	p := um.Matrix()
+	m, err := FromMatrix("copy", 3, 0.9, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Name() != "copy" || m.N() != 3 {
 		t.Errorf("FromMatrix: %s n=%d", m.Name(), m.N())
+	}
+	// FromMatrix copies its input: a caller that changes the matrix
+	// afterwards does not change the mechanism.
+	p.Set(0, 0, 0)
+	if m.Prob(0, 0) != 0.25 {
+		t.Error("mechanism shares storage with the caller's matrix")
 	}
 }
 
