@@ -60,13 +60,14 @@ func (m *Mechanism) Posterior(i int, weights []float64) ([]float64, error) {
 // The estimator exists when the mechanism matrix is invertible (true for
 // GM, EM, and the LP mechanisms at α < 1; false for UM, which ignores its
 // input). Applying a to each noisy release and summing yields unbiased
-// aggregate counts.
+// aggregate counts. The solve is a dense O(n³) elimination on a single
+// (n+1)² working copy of Pᵀ.
 func (m *Mechanism) UnbiasedEstimator() ([]float64, error) {
 	target := make([]float64, m.n+1)
 	for j := range target {
 		target[j] = float64(j)
 	}
-	a, err := mat.SolveLinear(m.p.Transpose(), target)
+	a, err := mat.SolveTransposed(m.p, target)
 	if err != nil {
 		return nil, fmt.Errorf("core: UnbiasedEstimator for %s: %w", m.name, err)
 	}

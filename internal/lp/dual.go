@@ -144,13 +144,13 @@ func completeWarmBasis(cf *canonForm, warm []int) []int {
 // a plain non-negative model. Any failure — including dual verdicts that
 // are ambiguous for the primal (an infeasible dual means the primal is
 // infeasible or unbounded) — is reported to the caller, which falls back
-// to a primal-side solve.
+// to a primal-side solve, as errSparseFallback joined with the reason.
 func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 	sm, shift := m.shiftLowerBounds()
 	em, _ := sm.expandBounds()
 	d, refs, err := dualize(em)
 	if err != nil {
-		return nil, errSparseFallback
+		return nil, errors.Join(errSparseFallback, err)
 	}
 	cf := canonicalize(d)
 	var warm []int
@@ -193,7 +193,10 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 		if errors.Is(err, ErrCanceled) {
 			return dsol, err
 		}
-		return nil, errSparseFallback
+		if errors.Is(err, errSparseFallback) {
+			return nil, err // the engine's own decline already says why
+		}
+		return nil, errors.Join(errSparseFallback, err)
 	}
 
 	sol := &Solution{

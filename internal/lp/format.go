@@ -315,12 +315,10 @@ func (m *Model) WriteLP() string {
 	b.WriteString(";\n")
 	for _, c := range m.cons {
 		fmt.Fprintf(&b, "%s:", c.Name)
-		terms := append([]Term(nil), c.Terms...)
-		sort.Slice(terms, func(i, j int) bool { return terms[i].Var < terms[j].Var })
-		for i, t := range terms {
+		for i, t := range c.Terms {
 			writeTerm(&b, t.Coeff, m.varNames[t.Var], i == 0)
 		}
-		if len(terms) == 0 {
+		if len(c.Terms) == 0 {
 			b.WriteString(" 0")
 		}
 		fmt.Fprintf(&b, " %s %g;\n", c.Op, c.RHS)

@@ -27,11 +27,12 @@
 package lp
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
 )
 
 // Sense selects minimisation or maximisation of the objective.
@@ -77,7 +78,11 @@ type Term struct {
 	Coeff float64
 }
 
-// Constraint is a single linear constraint Σ Coeff·x Op RHS.
+// Constraint is a single linear constraint Σ Coeff·x Op RHS. Every
+// constraint a Model holds keeps one invariant on Terms: sorted by Var,
+// at most one term per variable, and no zero coefficient. AddConstraint
+// establishes it, and every derived model (bound shifts and expansions,
+// presolve) only drops terms or adds singleton rows, so it survives.
 type Constraint struct {
 	Name  string
 	Terms []Term
@@ -307,13 +312,14 @@ func (m *Model) ObjectiveCoeff(v int) float64 {
 }
 
 // AddConstraint appends the constraint Σ terms Op rhs and returns its row
-// index. Terms referring to the same variable are summed. An empty name is
+// index. Terms referring to the same variable are summed, in input
+// order, and terms whose sum is zero are dropped; the stored terms are
+// sorted by variable (the Constraint invariant). An empty name is
 // replaced by a generated one.
 func (m *Model) AddConstraint(name string, terms []Term, op Op, rhs float64) (int, error) {
 	if name == "" {
 		name = fmt.Sprintf("c%d", len(m.cons))
 	}
-	merged := make(map[int]float64, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(m.varNames) {
 			return 0, fmt.Errorf("lp: AddConstraint %q: variable %d out of range [0,%d): %w",
@@ -323,20 +329,38 @@ func (m *Model) AddConstraint(name string, terms []Term, op Op, rhs float64) (in
 			return 0, fmt.Errorf("lp: AddConstraint %q: coefficient for variable %d is %v: %w",
 				name, t.Var, t.Coeff, ErrBadModel)
 		}
-		merged[t.Var] += t.Coeff
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return 0, fmt.Errorf("lp: AddConstraint %q: right-hand side is %v: %w", name, rhs, ErrBadModel)
 	}
-	compact := make([]Term, 0, len(merged))
-	for v, c := range merged {
-		if c != 0 {
-			compact = append(compact, Term{Var: v, Coeff: c})
-		}
-	}
-	m.cons = append(m.cons, Constraint{Name: name, Terms: compact, Op: op, RHS: rhs})
+	m.cons = append(m.cons, Constraint{Name: name, Terms: mergeTerms(terms), Op: op, RHS: rhs})
 	return len(m.cons) - 1, nil
 }
+
+// mergeTerms returns a copy of terms in Constraint-invariant form:
+// sorted by variable, each variable's coefficients summed in input order
+// (a stable sort keeps equal variables in the order they were given),
+// and zero sums dropped.
+func mergeTerms(terms []Term) []Term {
+	out := append(make([]Term, 0, len(terms)), terms...)
+	if !slices.IsSortedFunc(out, cmpTermVar) {
+		slices.SortStableFunc(out, cmpTermVar)
+	}
+	w := 0
+	for i := 0; i < len(out); {
+		t := out[i]
+		for i++; i < len(out) && out[i].Var == t.Var; i++ {
+			t.Coeff += out[i].Coeff
+		}
+		if t.Coeff != 0 {
+			out[w] = t
+			w++
+		}
+	}
+	return out[:w]
+}
+
+func cmpTermVar(a, b Term) int { return cmp.Compare(a.Var, b.Var) }
 
 // Constraint returns the i-th constraint. The returned value shares its
 // term slice with the model; callers must not modify it.
@@ -354,21 +378,23 @@ func (m *Model) DedupeConstraints() (int, []int) {
 	remap := make([]int, len(m.cons))
 	kept := m.cons[:0]
 	dropped := 0
+	var key []byte
 	for i, c := range m.cons {
-		terms := append([]Term(nil), c.Terms...)
-		sort.Slice(terms, func(a, b int) bool { return terms[a].Var < terms[b].Var })
-		var b strings.Builder
-		fmt.Fprintf(&b, "%d|%g|", c.Op, c.RHS)
-		for _, t := range terms {
-			fmt.Fprintf(&b, "%d:%g;", t.Var, t.Coeff)
+		// The terms are already sorted and merged (the Constraint
+		// invariant), so the raw bits of the row identify it: bit
+		// equality is exactly float equality with -0 and 0 kept apart.
+		key = append(key[:0], byte(c.Op))
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(c.RHS))
+		for _, t := range c.Terms {
+			key = binary.LittleEndian.AppendUint64(key, uint64(t.Var))
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(t.Coeff))
 		}
-		key := b.String()
-		if at, ok := seen[key]; ok {
+		if at, ok := seen[string(key)]; ok {
 			remap[i] = at
 			dropped++
 			continue
 		}
-		seen[key] = len(kept)
+		seen[string(key)] = len(kept)
 		remap[i] = len(kept)
 		kept = append(kept, c)
 	}

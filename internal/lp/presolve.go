@@ -290,23 +290,15 @@ func presolve(m *Model) (*presolved, error) {
 		rhs float64
 	}
 	dups := make(map[string]dupEntry, len(rows))
-	var keyBuf []Term
 	var kb []byte
 	for i := range rows {
 		r := &rows[i]
 		if !r.live || len(r.terms) == 0 {
 			continue
 		}
-		keyBuf = append(keyBuf[:0], r.terms...)
-		// Insertion sort: rows here have a handful of terms, and this runs
-		// once per row per solve — sort.Slice's reflection overhead shows
-		// up on cheap re-solves.
-		for a := 1; a < len(keyBuf); a++ {
-			for b := a; b > 0 && keyBuf[b].Var < keyBuf[b-1].Var; b-- {
-				keyBuf[b], keyBuf[b-1] = keyBuf[b-1], keyBuf[b]
-			}
-		}
-		lead := keyBuf[0].Coeff
+		// Rows keep the Constraint invariant (substitution only drops
+		// terms), so their terms are already sorted by variable.
+		lead := r.terms[0].Coeff
 		op := r.op
 		if lead < 0 {
 			// Normalising by a negative leading coefficient flips the sense.
@@ -324,7 +316,7 @@ func presolve(m *Model) (*presolved, error) {
 		// that differ by a last-ulp rounding artefact keeps both — the
 		// conservative direction.
 		kb = append(kb[:0], byte(op))
-		for _, t := range keyBuf {
+		for _, t := range r.terms {
 			kb = binary.LittleEndian.AppendUint32(kb, uint32(t.Var))
 			kb = binary.LittleEndian.AppendUint64(kb, math.Float64bits(t.Coeff/lead))
 		}

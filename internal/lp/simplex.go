@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Status reports the outcome of a solve.
@@ -335,15 +336,22 @@ func (m *Model) solveReduced(opts Options) (*Solution, error) {
 
 	// Tall models solve far faster through their dual: every
 	// revised-simplex cost scales with the basis dimension (= rows).
+	// dualErr keeps why the dual route declined, for the error message
+	// should the bounded simplex fail too.
+	var dualErr error
 	if opts.Method == MethodAuto && wantDual(cf) {
 		sol, err := m.solveViaDual(opts)
 		if errors.Is(err, ErrCanceled) {
 			return sol, err
 		}
-		if err == nil && m.CheckFeasible(sol.X, 1e-7) == nil {
+		if err == nil {
+			err = m.CheckFeasible(sol.X, 1e-7)
+		}
+		if err == nil {
 			sol.Route = "dual"
 			return sol, nil
 		}
+		dualErr = err
 	}
 	sol, err := m.solveBounded(cf, opts, nil)
 	if errors.Is(err, ErrCanceled) {
@@ -354,7 +362,8 @@ func (m *Model) solveReduced(opts Options) (*Solution, error) {
 	if err != nil {
 		if errors.Is(err, errSparseFallback) {
 			// Never leak the unexported sentinel to callers.
-			return nil, fmt.Errorf("lp: bounded simplex declined the model (%v): %w", err, ErrBadModel)
+			return nil, fmt.Errorf("lp: bounded simplex declined the model (%s)%s: %w",
+				flatErr(err), dualDeclineNote(dualErr), ErrBadModel)
 		}
 		// Infeasible, unbounded and iteration-limit verdicts were
 		// confirmed on a fresh factorization.
@@ -365,10 +374,27 @@ func (m *Model) solveReduced(opts Options) (*Solution, error) {
 	// still accepted under a looser absolute bound before the solve is
 	// declared a failure.
 	if ferr := m.CheckFeasible(sol.X, 1e-5); ferr != nil {
-		return nil, fmt.Errorf("lp: bounded simplex returned an infeasible point (%v): %w", ferr, ErrBadModel)
+		return nil, fmt.Errorf("lp: bounded simplex returned an infeasible point (%v)%s: %w",
+			ferr, dualDeclineNote(dualErr), ErrBadModel)
 	}
 	sol.Route = "bounded"
 	return sol, nil
+}
+
+// dualDeclineNote names why the dual route declined a model, for an
+// error the bounded simplex then returns; it is empty when the dual
+// route did not run.
+func dualDeclineNote(dualErr error) string {
+	if dualErr == nil {
+		return ""
+	}
+	return "; the dual route declined it first (" + flatErr(dualErr) + ")"
+}
+
+// flatErr renders err on one line: errors.Join separates its parts with
+// newlines.
+func flatErr(err error) string {
+	return strings.ReplaceAll(err.Error(), "\n", ": ")
 }
 
 // solveRowFree solves a model with no constraint rows — what presolve

@@ -14,16 +14,18 @@ import "fmt"
 
 // CostClass is an approximate resource class for one build dimension
 // (CPU or memory). Classes are deliberately coarse: the paper's closed
-// forms (Lemmas 2–3) are O(n²) table fills, the constrained designs run
-// a crash-basis-accelerated simplex, and the Definition 3 minimax
-// epigraph LP solves cold. The class picks which budget curve
-// internal/costtest holds the kind to.
+// forms (Lemmas 2–3) are O(n²) table fills plus an O(n³) debias solve,
+// the constrained designs run a crash-basis-accelerated simplex, and the
+// Definition 3 minimax epigraph LP solves cold. The class picks which
+// budget curve internal/costtest holds the kind to.
 type CostClass uint8
 
 const (
 	// CostTable covers closed-form construction: O(n²) dense table
-	// fills (mechanism matrix, alias sampling tables, MLE and debiasing
-	// estimators) with no iterative solve.
+	// fills (mechanism matrix, alias sampling tables, MLE table) with no
+	// iterative solve, plus the debiasing estimator, which is a dense
+	// O(n³) elimination on the (n+1)² matrix — the dominant CPU cost at
+	// large n until the closed forms get their O(n) structured debias.
 	CostTable CostClass = iota
 	// CostLP covers LP-backed construction on the bounded-variable
 	// revised simplex with presolve and the geometric-vertex crash
