@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -126,5 +127,40 @@ func TestReadSourceStdin(t *testing.T) {
 	}
 	if !strings.Contains(got, "max: y") {
 		t.Fatalf("stdin read %q", got)
+	}
+}
+
+// TestMain lets a test run the command itself: with LPSOLVE_RUN_MAIN
+// set, the test binary acts as lpsolve on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("LPSOLVE_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestStatsAndDualsNameUnnamedRows runs `lpsolve -stats -duals` on a
+// model with an unlabelled row and pins how the output names it: c<k>,
+// its row index, next to the labelled row's own name.
+func TestStatsAndDualsNameUnnamedRows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.lp")
+	if err := os.WriteFile(path, []byte("min: x + 2y; x + y >= 2; cap: x <= 3;"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-stats", "-duals", path)
+	cmd.Env = append(os.Environ(), "LPSOLVE_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("lpsolve: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"  rows             2\n",
+		"variables:\n  x                2\n  y                0\n",
+		"duals:\n  c0               1\n  cap              0\n",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }

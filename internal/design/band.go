@@ -70,32 +70,16 @@ func bandDepth0(alpha float64) int {
 	return int(math.Ceil(0.9*math.Pow(1-alpha, -1.5))) + bandClearance
 }
 
-// bandEffective reduces a requested property set the same way
-// addProperties does and reports whether the band path's shape
-// assumptions hold: exactly RM + CM (+ Symmetry) rows, weak honesty
-// absorbed by CM, nothing else.
-func bandEffective(ps core.PropertySet) bool {
-	effective := ps
-	if effective&core.RowMonotone != 0 {
-		effective &^= core.RowHonesty
-	}
-	if effective&core.ColumnMonotone != 0 {
-		effective &^= core.ColumnHonesty
-	}
-	if ps&(core.ColumnMonotone|core.ColumnHonesty) != 0 {
-		effective &^= core.WeakHonesty
-	}
-	return effective == core.RowMonotone|core.ColumnMonotone|core.Symmetry
-}
+// bandShape is the effective property set (see effectiveProps) the band
+// path's shape assumptions hold for: exactly RM + CM (+ Symmetry) rows,
+// weak honesty absorbed by CM, nothing else.
+const bandShape = core.RowMonotone | core.ColumnMonotone | core.Symmetry
 
 // bandEligible reports whether the problem can take the band path: a
 // WM-shaped folded design under the L0 objective, large enough that the
 // band plus clearance fits strictly inside the matrix.
 func bandEligible(p Problem, obj Objective, reduce bool) bool {
-	if !reduce || p.N < bandMinN || obj.P != 0 {
-		return false
-	}
-	if !bandEffective(p.Props) {
+	if !reduce || p.N < bandMinN || obj.P != 0 || effectiveProps(p.Props) != bandShape {
 		return false
 	}
 	d := bandDepth0(p.Alpha)
@@ -324,7 +308,7 @@ func (bm *bandModel) stitch(sol *lp.Solution, gm *core.Mechanism, p Problem) (*M
 // solveBand runs the band path: build at the α-implied depth, solve
 // with the band image of the geometric crash basis, and deepen until
 // the clearance margin certifies the depth. Depths that would not fit
-// fall back to the caller's full solve.
+// fall back to the caller's full solve. Its caller has validated p.
 func solveBand(ctx context.Context, p Problem, obj Objective) (*Result, error) {
 	gm, err := core.Geometric(p.N, p.Alpha)
 	if err != nil {
@@ -339,7 +323,7 @@ func solveBand(ctx context.Context, p Problem, obj Objective) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sol, err := bm.model.SolveCtx(ctx, lp.Options{CrashRows: bm.crash})
+		sol, err := solveModel(bm.model, ctx, lp.Options{CrashRows: bm.crash})
 		if err != nil {
 			return nil, fmt.Errorf("design: band n=%d alpha=%g d=%d: %w", p.N, p.Alpha, d, err)
 		}
@@ -351,13 +335,7 @@ func solveBand(ctx context.Context, p Problem, obj Objective) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{
-			Mechanism:  m,
-			Cost:       sol.Objective + bm.interiorCost,
-			Iterations: sol.Iterations,
-			Variables:  bm.model.NumVariables(),
-			Rows:       bm.model.NumConstraints(),
-		}, nil
+		return newResult(m, sol, bm.model, sol.Objective+bm.interiorCost), nil
 	}
 }
 

@@ -74,13 +74,13 @@ func TestBandEligibility(t *testing.T) {
 	// The shape test must accept the reduced-equivalent spellings of the
 	// WM set (honesty absorbed by monotonicity, WH absorbed by CM) and
 	// nothing weaker.
-	if !bandEffective(core.RowMonotone | core.ColumnMonotone | core.Symmetry) {
+	if effectiveProps(core.RowMonotone|core.ColumnMonotone|core.Symmetry) != bandShape {
 		t.Error("bare RM+CM+Sym should be band-shaped")
 	}
-	if !bandEffective(WMProps | core.RowHonesty | core.ColumnHonesty) {
+	if effectiveProps(WMProps|core.RowHonesty|core.ColumnHonesty) != bandShape {
 		t.Error("honesty bits are absorbed by monotonicity and should not disqualify")
 	}
-	if bandEffective(core.ColumnMonotone | core.Symmetry) {
+	if effectiveProps(core.ColumnMonotone|core.Symmetry) == bandShape {
 		t.Error("CM+Sym without RM is not the WM shape")
 	}
 }

@@ -65,13 +65,10 @@ func TestDedupeMatchesReferenceOnSymmetricLattice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := newBuilder(c.n, c.alpha, true)
-		if err := b.addBasicDP(); err != nil {
-			t.Fatal(err)
-		}
 		// Served specs carry the closed property set.
-		if err := b.addProperties(core.Closure(props)); err != nil {
-			t.Fatal(err)
+		b := newBuilder(Problem{N: c.n, Alpha: c.alpha, Props: core.Closure(props)}, true)
+		if b.err != nil {
+			t.Fatal(b.err)
 		}
 		rows := b.model.NumConstraints()
 		wantDropped, wantRemap := referenceDedupe(b.model)

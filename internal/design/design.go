@@ -104,84 +104,110 @@ func Solve(p Problem) (*Result, error) {
 // cold from the problem's crash hint, so the result is a function of the
 // problem alone: no earlier solve, finished or cancelled, can change it.
 func SolveCtx(ctx context.Context, p Problem) (*Result, error) {
+	return solveLP(ctx, p, "design", nil)
+}
+
+// check validates p for the entry point named by label and returns its
+// objective, uniform weights filled in, and whether to fold symmetric
+// cells.
+func (p Problem) check(label string) (Objective, bool, error) {
 	if p.N < 1 {
-		return nil, fmt.Errorf("design: n=%d, want >= 1", p.N)
+		return Objective{}, false, fmt.Errorf("%s: n=%d, want >= 1", label, p.N)
 	}
-	if p.Alpha <= 0 || p.Alpha >= 1 {
-		return nil, fmt.Errorf("design: alpha=%v, want 0 < alpha < 1", p.Alpha)
+	if !(p.Alpha > 0 && p.Alpha < 1) {
+		return Objective{}, false, fmt.Errorf("%s: alpha=%v, want 0 < alpha < 1", label, p.Alpha)
 	}
 	obj := p.objective()
 	if len(obj.Weights) != p.N+1 {
-		return nil, fmt.Errorf("design: %d weights for n=%d", len(obj.Weights), p.N)
+		return Objective{}, false, fmt.Errorf("%s: %d weights for n=%d", label, len(obj.Weights), p.N)
 	}
-
 	reduce := p.ReduceSymmetry && p.Props&core.Symmetry != 0
 	if reduce && !symmetricWeights(obj.Weights) {
-		return nil, fmt.Errorf("design: ReduceSymmetry requires symmetric weights")
+		return Objective{}, false, fmt.Errorf("%s: ReduceSymmetry requires symmetric weights", label)
 	}
+	return obj, reduce, nil
+}
 
-	if bandEligible(p, obj, reduce) {
-		r, err := solveBand(ctx, p, obj)
-		if err == nil {
-			return r, nil
-		}
-		if errors.Is(err, lp.ErrCanceled) {
-			return nil, err
-		}
-		// Any other band failure — a depth that stopped fitting, a
-		// numerically hostile deep band — falls through to the full LP,
-		// which stays the correctness path of record.
-	}
+// A poseFunc poses one design objective on a built BASICDP+property
+// model: objective coefficients and, for minimax, the epigraph variable
+// and rows. It returns the solver options the objective needs; the
+// pipeline adds the builder's crash rows.
+type poseFunc func(b *builder, obj Objective) lp.Options
 
-	b := newBuilder(p.N, p.Alpha, reduce)
-	if err := b.addBasicDP(); err != nil {
-		return nil, err
-	}
-	if err := b.addProperties(p.Props); err != nil {
-		return nil, err
-	}
-	for _, cell := range b.cells() {
-		i, j := cell.i, cell.j
-		c := obj.Weights[j] * penalty(obj.P, i, j)
-		if c != 0 {
-			v := b.varOf(i, j)
-			if err := b.model.SetObjective(v, b.model.ObjectiveCoeff(v)+c); err != nil {
-				return nil, err
-			}
-		}
-	}
+// solveModel runs one design LP. Tests swap it to fingerprint the
+// models the design layer poses.
+var solveModel = (*lp.Model).SolveCtx
 
-	crash := b.finishModel()
-	sol, err := b.model.SolveCtx(ctx, lp.Options{CrashRows: crash})
+// solveLP is the one path every full design LP takes: validate the
+// problem, build BASICDP (§III) plus the requested §IV-A property rows,
+// pose the objective, dedupe a folded model, solve, and read the
+// mechanism back. label names the entry point in errors. A nil pose
+// means the problem's own O_{p,Σ} objective, which the band path also
+// solves: a WM-shaped problem then tries that path first.
+func solveLP(ctx context.Context, p Problem, label string, pose poseFunc) (*Result, error) {
+	obj, reduce, err := p.check(label)
 	if err != nil {
-		return nil, fmt.Errorf("design: n=%d alpha=%g props=%s: %w",
-			p.N, p.Alpha, core.PropertySetString(p.Props), err)
+		return nil, err
 	}
-
+	if pose == nil {
+		if bandEligible(p, obj, reduce) {
+			r, err := solveBand(ctx, p, obj)
+			if err == nil || errors.Is(err, lp.ErrCanceled) {
+				return r, err
+			}
+			// Any other band failure — a depth that stopped fitting, a
+			// numerically hostile deep band — falls through to the full
+			// LP, which stays the correctness path of record.
+		}
+		pose = poseSum
+	}
+	b := newBuilder(p, reduce)
+	opts := pose(b, obj)
+	if b.err != nil {
+		return nil, b.err
+	}
+	opts.CrashRows = b.finishModel()
+	sol, err := solveModel(b.model, ctx, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: n=%d alpha=%g props=%s: %w",
+			label, p.N, p.Alpha, core.PropertySetString(p.Props), err)
+	}
 	m, err := b.extract(sol, p)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Mechanism:  m,
-		Cost:       sol.Objective,
-		Iterations: sol.Iterations,
-		Variables:  b.model.NumVariables(),
-		Rows:       b.model.NumConstraints(),
-	}, nil
+	return newResult(m, sol, b.model, sol.Objective), nil
 }
 
-// cell is one matrix position.
-type cell struct{ i, j int }
+// newResult wraps a designed mechanism with its LP's diagnostics.
+func newResult(m *Mechanism, sol *lp.Solution, model *lp.Model, cost float64) *Result {
+	return &Result{
+		Mechanism:  m,
+		Cost:       cost,
+		Iterations: sol.Iterations,
+		Variables:  model.NumVariables(),
+		Rows:       model.NumConstraints(),
+	}
+}
 
-// builder assembles the LP, optionally folding symmetric cells onto a
-// single variable.
+// poseSum poses the O_{p,Σ} objective Σ_j w_j Σ_i |i−j|^p ρ[i][j].
+func poseSum(b *builder, obj Objective) lp.Options {
+	b.addObjective(func(i, j int) float64 { return obj.Weights[j] * penalty(obj.P, i, j) })
+	return lp.Options{}
+}
+
+// builder assembles the design LP, optionally folding symmetric cells
+// onto a single variable. Its rows and variables carry no names: the
+// lp model renders them as c<k> and x<k> on read.
 type builder struct {
 	n      int
 	alpha  float64
 	reduce bool
 	model  *lp.Model
-	vars   map[cell]int
+	// v[i*(n+1)+j] is the variable of cell (i, j). Folding identifies a
+	// cell with its mirror (n−i, n−j), which sits at the reversed index;
+	// the earlier of the two in row-major order owns the variable.
+	v []int
 	// crash collects the rows expected tight at a GM-like optimum — the
 	// column sums and the away-from-diagonal α-ratio rows — which
 	// together pick out exactly one constraint per variable: the
@@ -190,53 +216,65 @@ type builder struct {
 	// closer to the constrained optimum than a cold basis; a hint the
 	// solver cannot use is ignored.
 	crash []int
+	// err is the first error the model refused an addition with; the
+	// pipeline reports it before solving.
+	err error
 }
 
-func newBuilder(n int, alpha float64, reduce bool) *builder {
+// newBuilder assembles BASICDP plus p's properties, the variables
+// created in row-major order of their owning cells.
+func newBuilder(p Problem, reduce bool) *builder {
 	b := &builder{
-		n:      n,
-		alpha:  alpha,
+		n:      p.N,
+		alpha:  p.Alpha,
 		reduce: reduce,
-		model:  lp.NewModel(fmt.Sprintf("design-n%d", n), lp.Minimize),
-		vars:   make(map[cell]int, (n+1)*(n+1)),
+		model:  lp.NewModel(fmt.Sprintf("design-n%d", p.N), lp.Minimize),
+		v:      make([]int, (p.N+1)*(p.N+1)),
 	}
-	for i := 0; i <= n; i++ {
-		for j := 0; j <= n; j++ {
-			r := b.rep(i, j)
-			if _, ok := b.vars[r]; !ok {
-				b.vars[r] = b.model.AddVariable(fmt.Sprintf("r_%d_%d", r.i, r.j))
-			}
+	for k := range b.v {
+		if mirror := len(b.v) - 1 - k; reduce && mirror < k {
+			b.v[k] = b.v[mirror]
+		} else {
+			b.v[k] = b.model.AddVariable("")
 		}
 	}
+	b.addBasicDP()
+	b.addProperties(p.Props)
 	return b
 }
 
-// rep returns the canonical representative of cell (i, j) under the
-// centro-symmetry identification when folding is enabled.
-func (b *builder) rep(i, j int) cell {
-	if !b.reduce {
-		return cell{i, j}
+func (b *builder) varOf(i, j int) int { return b.v[i*(b.n+1)+j] }
+
+// note records err in b.err unless an earlier error is there.
+func (b *builder) note(err error) {
+	if b.err == nil {
+		b.err = err
 	}
-	mirror := cell{b.n - i, b.n - j}
-	me := cell{i, j}
-	if mirror.i < me.i || (mirror.i == me.i && mirror.j < me.j) {
-		return mirror
-	}
-	return me
 }
 
-func (b *builder) varOf(i, j int) int { return b.vars[b.rep(i, j)] }
+// row adds the row Σ terms op rhs and returns its index.
+func (b *builder) row(terms []lp.Term, op lp.Op, rhs float64) int {
+	r, err := b.model.AddConstraint("", terms, op, rhs)
+	b.note(err)
+	return r
+}
 
-// cells lists every matrix position (not just representatives) so
-// objective coefficients accumulate over folded cells.
-func (b *builder) cells() []cell {
-	out := make([]cell, 0, (b.n+1)*(b.n+1))
+// pair adds the row ca·x_a + cc·x_c op 0 and returns its index.
+func (b *builder) pair(a int, ca float64, c int, cc float64, op lp.Op) int {
+	return b.row([]lp.Term{{Var: a, Coeff: ca}, {Var: c, Coeff: cc}}, op, 0)
+}
+
+// addObjective adds cost(i, j) to the objective coefficient of every
+// cell's variable, so a folded variable collects its mirror's cost too.
+func (b *builder) addObjective(cost func(i, j int) float64) {
 	for i := 0; i <= b.n; i++ {
 		for j := 0; j <= b.n; j++ {
-			out = append(out, cell{i, j})
+			if c := cost(i, j); c != 0 {
+				v := b.varOf(i, j)
+				b.note(b.model.SetObjective(v, b.model.ObjectiveCoeff(v)+c))
+			}
 		}
 	}
-	return out
 }
 
 // addBasicDP adds the §III constraints: column sums (Eq 5) and the α
@@ -244,51 +282,33 @@ func (b *builder) cells() []cell {
 // bounds are implied by the column sums. The sums and the ratio rows
 // pointing away from the diagonal (the ones a geometric mechanism makes
 // tight) are recorded as crash hints for the solver.
-func (b *builder) addBasicDP() error {
+func (b *builder) addBasicDP() {
 	n, alpha := b.n, b.alpha
 	for j := 0; j <= n; j++ {
 		terms := make([]lp.Term, 0, n+1)
 		for i := 0; i <= n; i++ {
 			terms = append(terms, lp.Term{Var: b.varOf(i, j), Coeff: 1})
 		}
-		row, err := b.model.AddConstraint(fmt.Sprintf("sum_%d", j), terms, lp.EQ, 1)
-		if err != nil {
-			return err
-		}
-		b.crash = append(b.crash, row)
+		b.crash = append(b.crash, b.row(terms, lp.EQ, 1))
 	}
 	for i := 0; i <= n; i++ {
 		for j := 0; j < n; j++ {
 			// ρ[i][j] ≥ α·ρ[i][j+1]  ⇒  α·ρ[i][j+1] − ρ[i][j] ≤ 0
-			row, err := b.model.AddConstraint(
-				fmt.Sprintf("dpA_%d_%d", i, j),
-				[]lp.Term{{Var: b.varOf(i, j+1), Coeff: alpha}, {Var: b.varOf(i, j), Coeff: -1}},
-				lp.LE, 0)
-			if err != nil {
-				return err
-			}
+			r := b.pair(b.varOf(i, j+1), alpha, b.varOf(i, j), -1, lp.LE)
 			if j < i {
-				b.crash = append(b.crash, row) // left tail decays at rate α
+				b.crash = append(b.crash, r) // left tail decays at rate α
 			}
 			// ρ[i][j+1] ≥ α·ρ[i][j]
-			row, err = b.model.AddConstraint(
-				fmt.Sprintf("dpB_%d_%d", i, j),
-				[]lp.Term{{Var: b.varOf(i, j), Coeff: alpha}, {Var: b.varOf(i, j+1), Coeff: -1}},
-				lp.LE, 0)
-			if err != nil {
-				return err
-			}
+			r = b.pair(b.varOf(i, j), alpha, b.varOf(i, j+1), -1, lp.LE)
 			if j >= i {
-				b.crash = append(b.crash, row) // right tail decays at rate α
+				b.crash = append(b.crash, r) // right tail decays at rate α
 			}
 		}
 	}
-	return nil
 }
 
-// finishModel dedupes the folded model's duplicate rows (remapping the
-// crash hints through the surviving indices) and returns the solver
-// options carrying the hints.
+// finishModel dedupes the folded model's duplicate rows, remapping the
+// crash hints through the surviving indices, and returns the hints.
 func (b *builder) finishModel() []int {
 	if b.reduce {
 		_, remap := b.model.DedupeConstraints()
@@ -306,36 +326,34 @@ func (b *builder) finishModel() []int {
 	return b.crash
 }
 
-// addProperties encodes the requested structural properties, pruning ones
-// implied by stronger requested ones.
-func (b *builder) addProperties(ps core.PropertySet) error {
-	n := b.n
-	effective := ps
-	if effective&core.RowMonotone != 0 {
-		effective &^= core.RowHonesty
+// effectiveProps drops the requested properties that stronger requested
+// ones imply: RM implies RH, CM implies CH, and either column property
+// implies WH. addProperties encodes what is left, and the band path
+// checks its shape on it.
+func effectiveProps(ps core.PropertySet) core.PropertySet {
+	e := ps
+	if e&core.RowMonotone != 0 {
+		e &^= core.RowHonesty
 	}
-	if effective&core.ColumnMonotone != 0 {
-		effective &^= core.ColumnHonesty
+	if e&core.ColumnMonotone != 0 {
+		e &^= core.ColumnHonesty
 	}
 	if ps&(core.ColumnMonotone|core.ColumnHonesty) != 0 {
-		effective &^= core.WeakHonesty
+		e &^= core.WeakHonesty
 	}
+	return e
+}
 
-	addLE := func(name string, hi, lo cellRef) error {
-		_, err := b.model.AddConstraint(name,
-			[]lp.Term{{Var: b.varOf(hi.i, hi.j), Coeff: 1}, {Var: b.varOf(lo.i, lo.j), Coeff: -1}},
-			lp.LE, 0)
-		return err
-	}
-
+// addProperties encodes the requested structural properties, pruning ones
+// implied by stronger requested ones.
+func (b *builder) addProperties(ps core.PropertySet) {
+	n, effective := b.n, effectiveProps(ps)
+	le := func(hi, lo int) { b.pair(hi, 1, lo, -1, lp.LE) }
 	if effective&core.RowHonesty != 0 {
 		for i := 0; i <= n; i++ {
 			for j := 0; j <= n; j++ {
-				if i == j {
-					continue
-				}
-				if err := addLE(fmt.Sprintf("rh_%d_%d", i, j), cellRef{i, j}, cellRef{i, i}); err != nil {
-					return err
+				if i != j {
+					le(b.varOf(i, j), b.varOf(i, i))
 				}
 			}
 		}
@@ -343,25 +361,18 @@ func (b *builder) addProperties(ps core.PropertySet) error {
 	if effective&core.RowMonotone != 0 {
 		for i := 0; i <= n; i++ {
 			for j := 1; j <= i; j++ {
-				if err := addLE(fmt.Sprintf("rmL_%d_%d", i, j), cellRef{i, j - 1}, cellRef{i, j}); err != nil {
-					return err
-				}
+				le(b.varOf(i, j-1), b.varOf(i, j))
 			}
 			for j := i; j < n; j++ {
-				if err := addLE(fmt.Sprintf("rmR_%d_%d", i, j), cellRef{i, j + 1}, cellRef{i, j}); err != nil {
-					return err
-				}
+				le(b.varOf(i, j+1), b.varOf(i, j))
 			}
 		}
 	}
 	if effective&core.ColumnHonesty != 0 {
 		for j := 0; j <= n; j++ {
 			for i := 0; i <= n; i++ {
-				if i == j {
-					continue
-				}
-				if err := addLE(fmt.Sprintf("ch_%d_%d", i, j), cellRef{i, j}, cellRef{j, j}); err != nil {
-					return err
+				if i != j {
+					le(b.varOf(i, j), b.varOf(j, j))
 				}
 			}
 		}
@@ -369,24 +380,16 @@ func (b *builder) addProperties(ps core.PropertySet) error {
 	if effective&core.ColumnMonotone != 0 {
 		for j := 0; j <= n; j++ {
 			for i := 1; i <= j; i++ {
-				if err := addLE(fmt.Sprintf("cmU_%d_%d", i, j), cellRef{i - 1, j}, cellRef{i, j}); err != nil {
-					return err
-				}
+				le(b.varOf(i-1, j), b.varOf(i, j))
 			}
 			for i := j; i < n; i++ {
-				if err := addLE(fmt.Sprintf("cmD_%d_%d", i, j), cellRef{i + 1, j}, cellRef{i, j}); err != nil {
-					return err
-				}
+				le(b.varOf(i+1, j), b.varOf(i, j))
 			}
 		}
 	}
 	if effective&core.Fairness != 0 {
 		for i := 1; i <= n; i++ {
-			if _, err := b.model.AddConstraint(fmt.Sprintf("fair_%d", i),
-				[]lp.Term{{Var: b.varOf(i, i), Coeff: 1}, {Var: b.varOf(0, 0), Coeff: -1}},
-				lp.EQ, 0); err != nil {
-				return err
-			}
+			b.pair(b.varOf(i, i), 1, b.varOf(0, 0), -1, lp.EQ)
 		}
 	}
 	if effective&core.WeakHonesty != 0 {
@@ -394,51 +397,32 @@ func (b *builder) addProperties(ps core.PropertySet) error {
 		// bounded simplex absorbs without a constraint row.
 		floor := 1 / float64(n+1)
 		for i := 0; i <= n; i++ {
-			if err := b.model.SetBounds(b.varOf(i, i), floor, math.Inf(1)); err != nil {
-				return err
-			}
+			b.note(b.model.SetBounds(b.varOf(i, i), floor, math.Inf(1)))
 		}
 	}
 	if effective&core.Symmetry != 0 && !b.reduce {
 		for i := 0; i <= n; i++ {
 			for j := 0; j <= n; j++ {
 				mi, mj := n-i, n-j
-				if mi < i || (mi == i && mj <= j) {
-					continue
-				}
-				if _, err := b.model.AddConstraint(fmt.Sprintf("sym_%d_%d", i, j),
-					[]lp.Term{{Var: b.varOf(i, j), Coeff: 1}, {Var: b.varOf(mi, mj), Coeff: -1}},
-					lp.EQ, 0); err != nil {
-					return err
+				if mi > i || (mi == i && mj > j) {
+					b.pair(b.varOf(i, j), 1, b.varOf(mi, mj), -1, lp.EQ)
 				}
 			}
 		}
 	}
 	if effective&core.OutputDP != 0 {
-		alpha := b.alpha
 		for j := 0; j <= n; j++ {
 			for i := 0; i < n; i++ {
-				if _, err := b.model.AddConstraint(fmt.Sprintf("odpA_%d_%d", i, j),
-					[]lp.Term{{Var: b.varOf(i+1, j), Coeff: alpha}, {Var: b.varOf(i, j), Coeff: -1}},
-					lp.LE, 0); err != nil {
-					return err
-				}
-				if _, err := b.model.AddConstraint(fmt.Sprintf("odpB_%d_%d", i, j),
-					[]lp.Term{{Var: b.varOf(i, j), Coeff: alpha}, {Var: b.varOf(i+1, j), Coeff: -1}},
-					lp.LE, 0); err != nil {
-					return err
-				}
+				b.pair(b.varOf(i+1, j), b.alpha, b.varOf(i, j), -1, lp.LE)
+				b.pair(b.varOf(i, j), b.alpha, b.varOf(i+1, j), -1, lp.LE)
 			}
 		}
 	}
-	return nil
 }
 
-type cellRef struct{ i, j int }
-
 // extract converts the LP solution into a validated Mechanism, repairing
-// the tiny numeric drift a simplex basis can leave (clamping negatives of
-// magnitude ≤ 1e-9 and renormalising columns).
+// the tiny numeric drift a simplex basis can leave (finishMatrix clamps
+// negatives down to −1e-7 to zero and renormalises the columns).
 func (b *builder) extract(sol *lp.Solution, p Problem) (*Mechanism, error) {
 	n := b.n
 	px := mat.NewDense(n+1, n+1)

@@ -2,6 +2,7 @@ package design
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"privcount/internal/core"
@@ -26,6 +27,70 @@ func TestSolveArgumentValidation(t *testing.T) {
 		Objective: Objective{Weights: []float64{0.5, 0.3, 0.2}},
 	}); err == nil {
 		t.Error("asymmetric weights with ReduceSymmetry accepted")
+	}
+}
+
+// TestEntryPointsShareValidation runs every invalid problem through each
+// entry point that can express it: Solve, SolveMinimax and the step-loss
+// designs (UnconstrainedL0D when no property is asked for,
+// ConstrainedL0D otherwise). Each must refuse it up front with an error
+// naming its entry point, never hand back a mechanism.
+func TestEntryPointsShareValidation(t *testing.T) {
+	cases := []struct {
+		name string
+		p    Problem
+		l0d  bool // expressible through the L0D entry points
+	}{
+		{"n=0", Problem{N: 0, Alpha: 0.5}, true},
+		{"n<0", Problem{N: -3, Alpha: 0.5, Props: core.RowMonotone}, true},
+		{"alpha=0", Problem{N: 8, Alpha: 0}, true},
+		{"alpha<0", Problem{N: 8, Alpha: -0.2}, true},
+		{"alpha<0 with props", Problem{N: 8, Alpha: -0.2, Props: core.RowMonotone | core.Symmetry}, true},
+		{"alpha=1", Problem{N: 8, Alpha: 1}, true},
+		{"alpha>1", Problem{N: 8, Alpha: 1.5, Props: core.Symmetry}, true},
+		{"alpha=NaN", Problem{N: 8, Alpha: math.NaN()}, true},
+		{"short weights", Problem{N: 3, Alpha: 0.5, Objective: Objective{Weights: []float64{1}}}, false},
+		{"asymmetric weights folded", Problem{N: 2, Alpha: 0.5, Props: core.Symmetry, ReduceSymmetry: true,
+			Objective: Objective{Weights: []float64{0.5, 0.3, 0.2}}}, false},
+	}
+	type entry struct {
+		label string
+		solve func(Problem) (*core.Mechanism, error)
+	}
+	result := func(r *Result, err error) (*core.Mechanism, error) {
+		if err != nil {
+			return nil, err
+		}
+		return r.Mechanism, nil
+	}
+	entries := []entry{
+		{"design:", func(p Problem) (*core.Mechanism, error) { return result(Solve(p)) }},
+		{"design: minimax:", func(p Problem) (*core.Mechanism, error) { return result(SolveMinimax(p)) }},
+		{"design: L0D", func(p Problem) (*core.Mechanism, error) {
+			if p.Props == 0 {
+				return UnconstrainedL0D(p.N, p.Alpha, 1)
+			}
+			return ConstrainedL0D(p.N, p.Alpha, 1, p.Props)
+		}},
+	}
+	for _, c := range cases {
+		for _, e := range entries {
+			if e.label == "design: L0D" && !c.l0d {
+				continue
+			}
+			m, err := e.solve(c.p)
+			if err == nil {
+				t.Errorf("%s %s: accepted; got a mechanism (DP violation: %q)", e.label, c.name,
+					m.DPViolation(c.p.Alpha, core.DefaultTol))
+				continue
+			}
+			if !strings.HasPrefix(err.Error(), e.label) {
+				t.Errorf("%s %s: error %q does not name its entry point", e.label, c.name, err)
+			}
+		}
+	}
+	if _, err := UnconstrainedL0D(8, 0.5, -1); err == nil {
+		t.Error("L0D with d=-1 accepted")
 	}
 }
 

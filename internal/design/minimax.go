@@ -29,46 +29,28 @@ func SolveMinimax(p Problem) (*Result, error) {
 // cancellability matters most here: an abandoned minimax build stops
 // mid-pivot instead of running cold for minutes.
 func SolveMinimaxCtx(ctx context.Context, p Problem) (*Result, error) {
-	if p.N < 1 {
-		return nil, fmt.Errorf("design: minimax: n=%d, want >= 1", p.N)
+	r, err := solveLP(ctx, p, "design: minimax", poseMinimax)
+	if err != nil {
+		return nil, err
 	}
-	if p.Alpha <= 0 || p.Alpha >= 1 {
-		return nil, fmt.Errorf("design: minimax: alpha=%v, want 0 < alpha < 1", p.Alpha)
-	}
-	obj := p.objective()
-	if len(obj.Weights) != p.N+1 {
-		return nil, fmt.Errorf("design: minimax: %d weights for n=%d", len(obj.Weights), p.N)
-	}
-	reduce := p.ReduceSymmetry && p.Props&core.Symmetry != 0
-	if reduce && !symmetricWeights(obj.Weights) {
-		return nil, fmt.Errorf("design: minimax: ReduceSymmetry requires symmetric weights")
-	}
+	r.Mechanism = r.Mechanism.Rename(fmt.Sprintf("MM[%s]", core.PropertySetString(p.Props)))
+	return r, nil
+}
 
-	b := newBuilder(p.N, p.Alpha, reduce)
-	if err := b.addBasicDP(); err != nil {
-		return nil, err
-	}
-	if err := b.addProperties(p.Props); err != nil {
-		return nil, err
-	}
-
-	// Epigraph variable t carries the objective.
-	t := b.model.AddVariable("t")
-	if err := b.model.SetObjective(t, 1); err != nil {
-		return nil, err
-	}
-	for j := 0; j <= p.N; j++ {
-		terms := make([]lp.Term, 0, p.N+2)
-		for i := 0; i <= p.N; i++ {
-			c := obj.Weights[j] * penalty(obj.P, i, j)
-			if c != 0 {
+// poseMinimax poses the epigraph form: an objective variable t and one
+// row per column bounding its weighted loss by t.
+func poseMinimax(b *builder, obj Objective) lp.Options {
+	t := b.model.AddVariable("")
+	b.note(b.model.SetObjective(t, 1))
+	for j := 0; j <= b.n; j++ {
+		terms := make([]lp.Term, 0, b.n+2)
+		for i := 0; i <= b.n; i++ {
+			if c := obj.Weights[j] * penalty(obj.P, i, j); c != 0 {
 				terms = append(terms, lp.Term{Var: b.varOf(i, j), Coeff: c})
 			}
 		}
 		terms = append(terms, lp.Term{Var: t, Coeff: -1})
-		if _, err := b.model.AddConstraint(fmt.Sprintf("mm_%d", j), terms, lp.LE, 0); err != nil {
-			return nil, err
-		}
+		b.row(terms, lp.LE, 0)
 	}
 	// No crash hint here: the geometric-vertex guess (plus any one
 	// epigraph row to fix the cardinality) is primal-infeasible in the
@@ -78,21 +60,6 @@ func SolveMinimaxCtx(ctx context.Context, p Problem) (*Result, error) {
 	// interior point engine instead, whose iteration count is indifferent
 	// to the degenerate vertex structure that stalls a cold simplex on
 	// these LPs (tens of minutes at n=128; ~1.4 s via IPM).
-	b.finishModel()
-	sol, err := b.model.SolveCtx(ctx, lp.Options{Method: lp.MethodIPM})
-	if err != nil {
-		return nil, fmt.Errorf("design: minimax n=%d alpha=%g props=%s: %w",
-			p.N, p.Alpha, core.PropertySetString(p.Props), err)
-	}
-	m, err := b.extract(sol, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Mechanism:  m.Rename(fmt.Sprintf("MM[%s]", core.PropertySetString(p.Props))),
-		Cost:       sol.Objective,
-		Iterations: sol.Iterations,
-		Variables:  b.model.NumVariables(),
-		Rows:       b.model.NumConstraints(),
-	}, nil
+	b.crash = nil
+	return lp.Options{Method: lp.MethodIPM}
 }

@@ -137,8 +137,7 @@ func Unconstrained(n int, alpha float64, p float64) (*core.Mechanism, error) {
 // of an answer more than d steps from the truth (the "L0 with d" loss of
 // Figure 1).
 func UnconstrainedL0D(n int, alpha float64, d int) (*core.Mechanism, error) {
-	weights := core.UniformWeights(n)
-	m, err := buildL0D(n, alpha, d, weights, 0, false)
+	m, err := solveL0D(n, alpha, d, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -147,46 +146,34 @@ func UnconstrainedL0D(n int, alpha float64, d int) (*core.Mechanism, error) {
 
 // ConstrainedL0D is UnconstrainedL0D plus structural properties.
 func ConstrainedL0D(n int, alpha float64, d int, props core.PropertySet) (*core.Mechanism, error) {
-	m, err := buildL0D(n, alpha, d, core.UniformWeights(n), props, props&core.Symmetry != 0)
+	m, err := solveL0D(n, alpha, d, props)
 	if err != nil {
 		return nil, err
 	}
 	return m.Rename(fmt.Sprintf("LP-L0d%d[%s]", d, core.PropertySetString(props))), nil
 }
 
-// buildL0D solves with the step-loss objective: cost 1 when |i−j| > d.
-func buildL0D(n int, alpha float64, d int, weights []float64, props core.PropertySet, reduce bool) (*core.Mechanism, error) {
+// solveL0D solves with the step-loss objective under uniform weights:
+// cost w_j when |i−j| > d. A Symmetry request folds the LP.
+func solveL0D(n int, alpha float64, d int, props core.PropertySet) (*core.Mechanism, error) {
 	if d < 0 {
 		return nil, fmt.Errorf("design: L0D with d=%d", d)
 	}
-	b := newBuilder(n, alpha, reduce)
-	if err := b.addBasicDP(); err != nil {
-		return nil, err
-	}
-	if err := b.addProperties(props); err != nil {
-		return nil, err
-	}
-	for _, c := range b.cells() {
-		if abs(c.i-c.j) > d {
-			v := b.varOf(c.i, c.j)
-			if err := b.model.SetObjective(v, b.model.ObjectiveCoeff(v)+weights[c.j]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	crash := b.finishModel()
-	sol, err := b.model.SolveCtx(context.Background(), lp.Options{CrashRows: crash})
+	p := Problem{N: n, Alpha: alpha, Props: props, ReduceSymmetry: props&core.Symmetry != 0}
+	r, err := solveLP(context.Background(), p, fmt.Sprintf("design: L0D d=%d", d),
+		func(b *builder, obj Objective) lp.Options {
+			b.addObjective(func(i, j int) float64 {
+				if i-j > d || j-i > d {
+					return obj.Weights[j]
+				}
+				return 0
+			})
+			return lp.Options{}
+		})
 	if err != nil {
-		return nil, fmt.Errorf("design: L0D n=%d alpha=%g d=%d: %w", n, alpha, d, err)
+		return nil, err
 	}
-	return b.extract(sol, Problem{N: n, Alpha: alpha, Props: props})
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return r.Mechanism, nil
 }
 
 // Choice reports which mechanism the Figure 5 flowchart selects.

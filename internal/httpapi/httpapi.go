@@ -705,8 +705,31 @@ func (a *api) queryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := fw.Close(); err != nil {
 		log.Printf("httpapi: closing binary stream: %v", err)
+		return
+	}
+	// The result stream is complete: push it out before the drain below,
+	// which may wait on a client that reads its results first. A failed
+	// flush leaves nothing to do but the drain.
+	_ = rc.Flush()
+	// Read the request body to its end before returning. The loop stops
+	// at the op stream's end marker or at an abort, with the body's own
+	// end still unread; net/http would then hit it while closing the
+	// body after the handler, start the kept-alive connection's
+	// background read too late to be stopped, and panic with "invalid
+	// concurrent Body.Read call" under the next request. The drain is
+	// bounded: a client still sending past streamDrainLimit (after an
+	// abort frame, say) loses its connection instead, its response
+	// already flushed.
+	if _, err := io.CopyN(io.Discard, r.Body, streamDrainLimit); err == nil {
+		if conn, _, err := rc.Hijack(); err == nil {
+			_ = conn.Close() // dropping the connection is the point
+		}
 	}
 }
+
+// streamDrainLimit bounds how much of a request body queryStream reads
+// and discards after its op stream ended.
+const streamDrainLimit = 1 << 20
 
 // opScratch is the reusable state of a sequence of query ops: a
 // parsed-spec cache (ops name mechanisms by wire token; re-parsing every

@@ -114,89 +114,111 @@ func TestQueryStreamKeepAliveRounds(t *testing.T) {
 	}
 }
 
-// endlessReader yields zero bytes until stop is closed, then EOF: a
-// client that keeps sending after its stream was aborted.
-type endlessReader struct {
+// tailReader yields zero bytes until left runs out (never, when left
+// is negative) or stop is closed, then EOF: a client that keeps sending
+// after its stream was aborted.
+type tailReader struct {
 	stop <-chan struct{}
-	sent int64
+	left int64
 }
 
-func (r *endlessReader) Read(p []byte) (int, error) {
+func (r *tailReader) Read(p []byte) (int, error) {
 	select {
 	case <-r.stop:
 		return 0, io.EOF
 	default:
 	}
+	if r.left == 0 {
+		return 0, io.EOF
+	}
+	if r.left > 0 && int64(len(p)) > r.left {
+		p = p[:r.left]
+	}
 	clear(p)
-	r.sent += int64(len(p))
+	if r.left > 0 {
+		r.left -= int64(len(p))
+	}
 	return len(p), nil
 }
 
 // TestQueryStreamAbortDrainIsBounded sends a malformed frame and then
-// keeps sending without end. The server must answer with its abort
-// frame and end the response after a bounded drain of the request body
-// instead of reading the hostile tail forever; a well-formed stream on
+// keeps sending: without end, or for a little more than the server's
+// drain limit. The server must end the exchange after a bounded drain of
+// the request body instead of reading the tail forever, and must not
+// panic when the tail ends just past the drain; a well-formed stream on
 // the same transport afterwards must still be served.
 func TestQueryStreamAbortDrainIsBounded(t *testing.T) {
-	ts, logs := loggedServer(t)
-	tr := &http.Transport{MaxConnsPerHost: 1}
-	t.Cleanup(tr.CloseIdleConnections)
-	hc := &http.Client{Transport: tr}
+	for _, tc := range []struct {
+		name string
+		tail int64
+	}{
+		{"endless", -1},
+		{"past-drain-limit", streamDrainLimit + 100<<10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, logs := loggedServer(t)
+			tr := &http.Transport{MaxConnsPerHost: 1}
+			t.Cleanup(tr.CloseIdleConnections)
+			hc := &http.Client{Transport: tr}
 
-	stop := make(chan struct{})
-	defer close(stop)
-	tail := &endlessReader{stop: stop}
-	body := io.MultiReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}), tail)
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", client.ContentTypeBinary)
-	req.Header.Set("Accept", client.ContentTypeBinary)
-	done := make(chan error, 1)
-	go func() {
-		resp, err := hc.Do(req)
-		if err != nil {
-			done <- err
-			return
-		}
-		defer resp.Body.Close()
-		_, err = readBinaryResults(t, resp.Body)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		var apiErr *client.Error
-		if !errors.As(err, &apiErr) || apiErr.Code != client.CodeSpecInvalid {
-			t.Fatalf("abort error = %v, want spec_invalid", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("an aborted stream whose client keeps sending never ended")
-	}
+			stop := make(chan struct{})
+			defer close(stop)
+			body := io.MultiReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}),
+				&tailReader{stop: stop, left: tc.tail})
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v2/query", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", client.ContentTypeBinary)
+			req.Header.Set("Accept", client.ContentTypeBinary)
+			done := make(chan error, 1)
+			go func() {
+				resp, err := hc.Do(req)
+				if err != nil {
+					done <- err
+					return
+				}
+				defer resp.Body.Close()
+				_, err = readBinaryResults(t, resp.Body)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				// The client sees the abort frame or, when the server
+				// cuts the connection while it is still writing, a reset.
+				var apiErr *client.Error
+				if err == nil || (errors.As(err, &apiErr) && apiErr.Code != client.CodeSpecInvalid) {
+					t.Fatalf("abort error = %v, want spec_invalid or a cut connection", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("an aborted stream whose client keeps sending never ended")
+			}
 
-	c, err := client.New(ts.URL, client.WithHTTPClient(hc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.QueryStream(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	op := client.Op{Op: "sample", ID: "gm:n=8:a=0.5", Count: 3}
-	if err := s.Send(&op); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CloseSend(); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := s.Recv(); err != nil || res.Error != nil {
-		t.Fatalf("stream after abort: %+v, %v", res, err)
-	}
-	if _, err := s.Recv(); err != io.EOF {
-		t.Fatalf("stream after abort did not end: %v", err)
-	}
-	if l := logs.String(); strings.Contains(l, "panic") {
-		t.Fatalf("server panicked: %s", l)
+			c, err := client.New(ts.URL, client.WithHTTPClient(hc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := c.QueryStream(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			op := client.Op{Op: "sample", ID: "gm:n=8:a=0.5", Count: 3}
+			if err := s.Send(&op); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CloseSend(); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := s.Recv(); err != nil || res.Error != nil {
+				t.Fatalf("stream after abort: %+v, %v", res, err)
+			}
+			if _, err := s.Recv(); err != io.EOF {
+				t.Fatalf("stream after abort did not end: %v", err)
+			}
+			if l := logs.String(); strings.Contains(l, "panic") {
+				t.Fatalf("server panicked: %s", l)
+			}
+		})
 	}
 }

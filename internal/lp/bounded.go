@@ -684,23 +684,30 @@ func (bv *bounded) ratioTest(q int, dir float64, bland, barArtificial bool, tol 
 	return ratioResult{pr: pr, leaveAtUp: prUp, theta: minRatio}
 }
 
-// applyFlip moves nonbasic column q across its box without a basis
-// change.
-func (bv *bounded) applyFlip(q int, dir float64, theta float64) {
-	if theta != 0 {
-		step := theta * dir
-		if bv.wDense {
-			for i := 0; i < bv.cf.m; i++ {
-				if bv.w[i] != 0 {
-					bv.xB[i] -= step * bv.w[i]
-				}
-			}
-		} else {
-			for _, i := range bv.wPat {
+// stepBasics moves the basic values theta along direction dir of the
+// entering column, whose FTRAN image ftranColumn left in w.
+func (bv *bounded) stepBasics(theta, dir float64) {
+	if theta == 0 {
+		return
+	}
+	step := theta * dir
+	if bv.wDense {
+		for i := 0; i < bv.cf.m; i++ {
+			if bv.w[i] != 0 {
 				bv.xB[i] -= step * bv.w[i]
 			}
 		}
+	} else {
+		for _, i := range bv.wPat {
+			bv.xB[i] -= step * bv.w[i]
+		}
 	}
+}
+
+// applyFlip moves nonbasic column q across its box without a basis
+// change.
+func (bv *bounded) applyFlip(q int, dir float64, theta float64) {
+	bv.stepBasics(theta, dir)
 	u := bv.cf.ub[q]
 	if bv.atUpper[q] {
 		bv.atUpper[q] = false
@@ -794,20 +801,7 @@ func (bv *bounded) updatePricing(pr, q int) {
 // applyPivot executes the basis change for entering q (direction dir)
 // against leaving row pr with step theta.
 func (bv *bounded) applyPivot(pr, q int, dir, theta float64, leaveAtUp bool) {
-	if theta != 0 {
-		step := theta * dir
-		if bv.wDense {
-			for i := 0; i < bv.cf.m; i++ {
-				if bv.w[i] != 0 {
-					bv.xB[i] -= step * bv.w[i]
-				}
-			}
-		} else {
-			for _, i := range bv.wPat {
-				bv.xB[i] -= step * bv.w[i]
-			}
-		}
-	}
+	bv.stepBasics(theta, dir)
 	if dir > 0 {
 		bv.xB[pr] = theta
 	} else {

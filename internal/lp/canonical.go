@@ -66,7 +66,7 @@ type canonForm struct {
 func canonicalize(m *Model) *canonForm {
 	cf := &canonForm{
 		m:       len(m.cons),
-		nStruct: len(m.varNames),
+		nStruct: len(m.obj),
 	}
 
 	type prepared struct {

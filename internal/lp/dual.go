@@ -44,7 +44,7 @@ func dualize(m *Model) (*Model, []dualVarRef, error) {
 	}
 
 	// One dual constraint per primal variable: Σ_i A_ij·y_i ≤ c_j.
-	colTerms := make([][]Term, len(m.varNames))
+	colTerms := make([][]Term, len(m.obj))
 	for i, c := range m.cons {
 		for _, t := range c.Terms {
 			r := refs[i]
@@ -56,8 +56,7 @@ func dualize(m *Model) (*Model, []dualVarRef, error) {
 			}
 		}
 	}
-	for j := range m.varNames {
-		cj := m.obj[j]
+	for j, cj := range m.obj {
 		if m.sense == Maximize {
 			cj = -cj
 		}
@@ -201,7 +200,7 @@ func (m *Model) solveViaDual(opts Options) (*Solution, error) {
 
 	sol := &Solution{
 		Status:           StatusOptimal,
-		X:                make([]float64, len(m.varNames)),
+		X:                make([]float64, len(m.obj)),
 		Iterations:       dsol.Iterations,
 		BoundFlips:       dsol.BoundFlips,
 		Refactorizations: dsol.Refactorizations,

@@ -34,18 +34,32 @@ const (
 	tokPlus
 	tokMinus
 	tokStar
-	tokLE
-	tokGE
-	tokEQ
 	tokColon
 	tokSemi
+	tokLE // the comparisons come last: lexLP tests kind >= tokLE
+	tokGE
+	tokEQ
 )
+
+// punct maps the one-character tokens to their kinds.
+var punct = map[byte]tokenKind{
+	'+': tokPlus, '-': tokMinus, '*': tokStar, ':': tokColon, ';': tokSemi,
+	'<': tokLE, '>': tokGE, '=': tokEQ,
+}
 
 func lexLP(src string) ([]token, error) {
 	var toks []token
 	i := 0
 	for i < len(src) {
 		c := src[i]
+		if kind, ok := punct[c]; ok {
+			i++
+			if kind >= tokLE && i < len(src) && src[i] == '=' {
+				i++ // "<=", ">=", "=="
+			}
+			toks = append(toks, token{kind: kind})
+			continue
+		}
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			i++
@@ -58,35 +72,6 @@ func lexLP(src string) ([]token, error) {
 		case c == '/' && i+1 < len(src) && src[i+1] == '/':
 			for i < len(src) && src[i] != '\n' {
 				i++
-			}
-		case c == '+':
-			toks = append(toks, token{kind: tokPlus})
-			i++
-		case c == '-':
-			toks = append(toks, token{kind: tokMinus})
-			i++
-		case c == '*':
-			toks = append(toks, token{kind: tokStar})
-			i++
-		case c == ':':
-			toks = append(toks, token{kind: tokColon})
-			i++
-		case c == ';':
-			toks = append(toks, token{kind: tokSemi})
-			i++
-		case c == '<' || c == '>' || c == '=':
-			op := string(c)
-			i++
-			if i < len(src) && src[i] == '=' {
-				i++
-			}
-			switch op {
-			case "<":
-				toks = append(toks, token{kind: tokLE})
-			case ">":
-				toks = append(toks, token{kind: tokGE})
-			default:
-				toks = append(toks, token{kind: tokEQ})
 			}
 		case c >= '0' && c <= '9' || c == '.':
 			j := i
@@ -306,17 +291,17 @@ func (m *Model) WriteLP() string {
 		if c == 0 {
 			continue
 		}
-		writeTerm(&b, c, m.varNames[v], !wrote)
+		writeTerm(&b, c, m.VariableName(v), !wrote)
 		wrote = true
 	}
 	if !wrote {
-		b.WriteString(" 0 " + m.varNames[0])
+		b.WriteString(" 0 " + m.VariableName(0))
 	}
 	b.WriteString(";\n")
 	for _, c := range m.cons {
-		fmt.Fprintf(&b, "%s:", c.Name)
+		fmt.Fprintf(&b, "%s:", m.rowName(&c))
 		for i, t := range c.Terms {
-			writeTerm(&b, t.Coeff, m.varNames[t.Var], i == 0)
+			writeTerm(&b, t.Coeff, m.VariableName(t.Var), i == 0)
 		}
 		if len(c.Terms) == 0 {
 			b.WriteString(" 0")

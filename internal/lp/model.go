@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 )
 
 // Sense selects minimisation or maximisation of the objective.
@@ -83,11 +84,16 @@ type Term struct {
 // at most one term per variable, and no zero coefficient. AddConstraint
 // establishes it, and every derived model (bound shifts and expansions,
 // presolve) only drops terms or adds singleton rows, so it survives.
+// A row added without a name stores none and reads as c<k>, k the index
+// AddConstraint returned, however the rows moved since.
 type Constraint struct {
 	Name  string
 	Terms []Term
 	Op    Op
 	RHS   float64
+	// id is the index AddConstraint returned for the row, or -1 for a
+	// singleton bound row expandBounds made.
+	id int
 }
 
 // Model is a linear program under construction. The zero value is not
@@ -95,7 +101,7 @@ type Constraint struct {
 type Model struct {
 	name     string
 	sense    Sense
-	varNames []string
+	varNames []string // up to the last named variable; "" reads as x<v>
 	obj      []float64
 	lo, hi   []float64 // per-variable box; default [0, +Inf)
 	boxed    bool      // any non-default bound set
@@ -137,22 +143,23 @@ func (m *Model) Name() string { return m.name }
 func (m *Model) Sense() Sense { return m.sense }
 
 // NumVariables returns the number of variables added so far.
-func (m *Model) NumVariables() int { return len(m.varNames) }
+func (m *Model) NumVariables() int { return len(m.obj) }
 
 // NumConstraints returns the number of constraints added so far.
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
-// AddVariable adds a non-negative variable and returns its index. An empty
-// name is replaced by a generated one.
+// AddVariable adds a non-negative variable and returns its index v. A
+// variable added with an empty name stores none and reads as x<v>.
 func (m *Model) AddVariable(name string) int {
-	if name == "" {
-		name = fmt.Sprintf("x%d", len(m.varNames))
+	v := len(m.obj)
+	if name != "" {
+		m.varNames = append(m.varNames, make([]string, v-len(m.varNames))...)
+		m.varNames = append(m.varNames, name)
 	}
-	m.varNames = append(m.varNames, name)
 	m.obj = append(m.obj, 0)
 	m.lo = append(m.lo, 0)
 	m.hi = append(m.hi, math.Inf(1))
-	return len(m.varNames) - 1
+	return v
 }
 
 // SetBounds sets the box lo ≤ x_v ≤ hi. The lower bound must be finite
@@ -162,14 +169,14 @@ func (m *Model) AddVariable(name string) int {
 // that cross are rejected here rather than surfacing later as a spurious
 // infeasibility.
 func (m *Model) SetBounds(v int, lo, hi float64) error {
-	if v < 0 || v >= len(m.varNames) {
-		return fmt.Errorf("lp: SetBounds: variable %d out of range [0,%d): %w", v, len(m.varNames), ErrBadModel)
+	if v < 0 || v >= len(m.obj) {
+		return fmt.Errorf("lp: SetBounds: variable %d out of range [0,%d): %w", v, len(m.obj), ErrBadModel)
 	}
 	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || lo < 0 {
-		return fmt.Errorf("lp: SetBounds(%s): lower bound %v, want finite and >= 0: %w", m.varNames[v], lo, ErrBadModel)
+		return fmt.Errorf("lp: SetBounds(%s): lower bound %v, want finite and >= 0: %w", m.VariableName(v), lo, ErrBadModel)
 	}
 	if hi < lo {
-		return fmt.Errorf("lp: SetBounds(%s): empty box [%v, %v]: %w", m.varNames[v], lo, hi, ErrBadModel)
+		return fmt.Errorf("lp: SetBounds(%s): empty box [%v, %v]: %w", m.VariableName(v), lo, hi, ErrBadModel)
 	}
 	m.lo[v] = lo
 	m.hi[v] = hi
@@ -229,7 +236,8 @@ func (m *Model) shiftLowerBounds() (*Model, []float64) {
 				rhs -= t.Coeff * l
 			}
 		}
-		s.cons[i] = Constraint{Name: c.Name, Terms: c.Terms, Op: c.Op, RHS: rhs}
+		c.RHS = rhs
+		s.cons[i] = c
 	}
 	return s, m.lo
 }
@@ -256,48 +264,54 @@ func (m *Model) expandBounds() (*Model, int) {
 	for v := range e.hi {
 		e.hi[v] = math.Inf(1)
 	}
-	added := 0
-	for v := range m.lo {
-		lo, hi := m.lo[v], m.hi[v]
-		switch {
-		case lo == hi:
-			e.cons = append(e.cons, Constraint{
-				Name:  fmt.Sprintf("fix_%s", m.varNames[v]),
-				Terms: []Term{{Var: v, Coeff: 1}}, Op: EQ, RHS: lo,
-			})
-			added++
-		default:
-			if lo > 0 {
-				e.cons = append(e.cons, Constraint{
-					Name:  fmt.Sprintf("lb_%s", m.varNames[v]),
-					Terms: []Term{{Var: v, Coeff: 1}}, Op: GE, RHS: lo,
-				})
-				added++
-			}
-			if !math.IsInf(hi, 1) {
-				e.cons = append(e.cons, Constraint{
-					Name:  fmt.Sprintf("ub_%s", m.varNames[v]),
-					Terms: []Term{{Var: v, Coeff: 1}}, Op: LE, RHS: hi,
-				})
-				added++
-			}
+	bound := func(v int, op Op, rhs float64) {
+		e.cons = append(e.cons, Constraint{Terms: []Term{{Var: v, Coeff: 1}}, Op: op, RHS: rhs, id: -1})
+	}
+	for v, lo := range m.lo {
+		hi := m.hi[v]
+		if lo == hi {
+			bound(v, EQ, lo)
+			continue
+		}
+		if lo > 0 {
+			bound(v, GE, lo)
+		}
+		if !math.IsInf(hi, 1) {
+			bound(v, LE, hi)
 		}
 	}
-	return e, added
+	return e, len(e.cons) - len(m.cons)
 }
 
-// VariableName returns the name of variable v.
+// rowName returns c's name: the one it was given, c<k> for the row
+// added at index k, or fix_, lb_ or ub_ and the variable's name for a
+// bound row expandBounds made.
+func (m *Model) rowName(c *Constraint) string {
+	switch {
+	case c.Name != "":
+		return c.Name
+	case c.id >= 0:
+		return "c" + strconv.Itoa(c.id)
+	}
+	return [...]string{LE: "ub_", GE: "lb_", EQ: "fix_"}[c.Op] + m.VariableName(c.Terms[0].Var)
+}
+
+// VariableName returns the name of variable v: the one AddVariable was
+// given, or x<v>.
 func (m *Model) VariableName(v int) string {
-	if v < 0 || v >= len(m.varNames) {
+	if v < 0 || v >= len(m.obj) {
 		return fmt.Sprintf("x?%d", v)
 	}
-	return m.varNames[v]
+	if v < len(m.varNames) && m.varNames[v] != "" {
+		return m.varNames[v]
+	}
+	return "x" + strconv.Itoa(v)
 }
 
 // SetObjective sets the objective coefficient of variable v.
 func (m *Model) SetObjective(v int, coeff float64) error {
-	if v < 0 || v >= len(m.varNames) {
-		return fmt.Errorf("lp: SetObjective: variable %d out of range [0,%d): %w", v, len(m.varNames), ErrBadModel)
+	if v < 0 || v >= len(m.obj) {
+		return fmt.Errorf("lp: SetObjective: variable %d out of range [0,%d): %w", v, len(m.obj), ErrBadModel)
 	}
 	m.obj[v] = coeff
 	return nil
@@ -314,27 +328,26 @@ func (m *Model) ObjectiveCoeff(v int) float64 {
 // AddConstraint appends the constraint Σ terms Op rhs and returns its row
 // index. Terms referring to the same variable are summed, in input
 // order, and terms whose sum is zero are dropped; the stored terms are
-// sorted by variable (the Constraint invariant). An empty name is
-// replaced by a generated one.
+// sorted by variable (the Constraint invariant). A row added with an
+// empty name stores none and reads as c<k>, k the returned index.
 func (m *Model) AddConstraint(name string, terms []Term, op Op, rhs float64) (int, error) {
-	if name == "" {
-		name = fmt.Sprintf("c%d", len(m.cons))
-	}
+	c := Constraint{Name: name, Op: op, RHS: rhs, id: len(m.cons)}
 	for _, t := range terms {
-		if t.Var < 0 || t.Var >= len(m.varNames) {
+		if t.Var < 0 || t.Var >= len(m.obj) {
 			return 0, fmt.Errorf("lp: AddConstraint %q: variable %d out of range [0,%d): %w",
-				name, t.Var, len(m.varNames), ErrBadModel)
+				m.rowName(&c), t.Var, len(m.obj), ErrBadModel)
 		}
 		if math.IsNaN(t.Coeff) || math.IsInf(t.Coeff, 0) {
 			return 0, fmt.Errorf("lp: AddConstraint %q: coefficient for variable %d is %v: %w",
-				name, t.Var, t.Coeff, ErrBadModel)
+				m.rowName(&c), t.Var, t.Coeff, ErrBadModel)
 		}
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
-		return 0, fmt.Errorf("lp: AddConstraint %q: right-hand side is %v: %w", name, rhs, ErrBadModel)
+		return 0, fmt.Errorf("lp: AddConstraint %q: right-hand side is %v: %w", m.rowName(&c), rhs, ErrBadModel)
 	}
-	m.cons = append(m.cons, Constraint{Name: name, Terms: mergeTerms(terms), Op: op, RHS: rhs})
-	return len(m.cons) - 1, nil
+	c.Terms = mergeTerms(terms)
+	m.cons = append(m.cons, c)
+	return c.id, nil
 }
 
 // mergeTerms returns a copy of terms in Constraint-invariant form:
@@ -362,9 +375,14 @@ func mergeTerms(terms []Term) []Term {
 
 func cmpTermVar(a, b Term) int { return cmp.Compare(a.Var, b.Var) }
 
-// Constraint returns the i-th constraint. The returned value shares its
-// term slice with the model; callers must not modify it.
-func (m *Model) Constraint(i int) Constraint { return m.cons[i] }
+// Constraint returns the i-th constraint, named (see Constraint). The
+// returned value shares its term slice with the model; callers must not
+// modify it.
+func (m *Model) Constraint(i int) Constraint {
+	c := m.cons[i]
+	c.Name = m.rowName(&c)
+	return c
+}
 
 // DedupeConstraints removes constraints that are exact duplicates of an
 // earlier one (same variables, coefficients, operator, and right-hand
@@ -416,15 +434,15 @@ func (m *Model) EvalObjective(x []float64) float64 {
 // CheckFeasible verifies that x satisfies every constraint and variable
 // bound within tol, returning a descriptive error for the first violation.
 func (m *Model) CheckFeasible(x []float64, tol float64) error {
-	if len(x) < len(m.varNames) {
-		return fmt.Errorf("lp: CheckFeasible: %d values for %d variables: %w", len(x), len(m.varNames), ErrBadModel)
+	if len(x) < len(m.obj) {
+		return fmt.Errorf("lp: CheckFeasible: %d values for %d variables: %w", len(x), len(m.obj), ErrBadModel)
 	}
-	for v := range m.varNames {
+	for v := range m.obj {
 		if x[v] < m.lo[v]-tol {
-			return fmt.Errorf("lp: variable %s = %g violates lower bound %g", m.varNames[v], x[v], m.lo[v])
+			return fmt.Errorf("lp: variable %s = %g violates lower bound %g", m.VariableName(v), x[v], m.lo[v])
 		}
 		if x[v] > m.hi[v]+tol {
-			return fmt.Errorf("lp: variable %s = %g violates upper bound %g", m.varNames[v], x[v], m.hi[v])
+			return fmt.Errorf("lp: variable %s = %g violates upper bound %g", m.VariableName(v), x[v], m.hi[v])
 		}
 	}
 	for _, c := range m.cons {
@@ -435,15 +453,15 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 		switch c.Op {
 		case LE:
 			if lhs > c.RHS+tol {
-				return fmt.Errorf("lp: constraint %s: %g <= %g violated by %g", c.Name, lhs, c.RHS, lhs-c.RHS)
+				return fmt.Errorf("lp: constraint %s: %g <= %g violated by %g", m.rowName(&c), lhs, c.RHS, lhs-c.RHS)
 			}
 		case GE:
 			if lhs < c.RHS-tol {
-				return fmt.Errorf("lp: constraint %s: %g >= %g violated by %g", c.Name, lhs, c.RHS, c.RHS-lhs)
+				return fmt.Errorf("lp: constraint %s: %g >= %g violated by %g", m.rowName(&c), lhs, c.RHS, c.RHS-lhs)
 			}
 		case EQ:
 			if math.Abs(lhs-c.RHS) > tol {
-				return fmt.Errorf("lp: constraint %s: %g = %g violated by %g", c.Name, lhs, c.RHS, math.Abs(lhs-c.RHS))
+				return fmt.Errorf("lp: constraint %s: %g = %g violated by %g", m.rowName(&c), lhs, c.RHS, math.Abs(lhs-c.RHS))
 			}
 		}
 	}

@@ -84,7 +84,7 @@ const presolveTol = 1e-9
 // proves the model has no feasible point (crossed bounds, unsatisfiable
 // empty row).
 func presolve(m *Model) (*presolved, error) {
-	nv := len(m.varNames)
+	nv := len(m.obj)
 	p := &presolved{
 		orig:    m,
 		loRow:   make([]int, nv),
@@ -130,7 +130,7 @@ func presolve(m *Model) (*presolved, error) {
 	// tightens.
 	infeasible := func(v int) error {
 		return fmt.Errorf("%w: presolve: bounds of %s cross: [%g, %g]",
-			ErrInfeasible, m.varNames[v], lo[v], hi[v])
+			ErrInfeasible, m.VariableName(v), lo[v], hi[v])
 	}
 	tightenLo := func(v int, b float64, r int, a float64) error {
 		if b > lo[v] {
@@ -209,7 +209,7 @@ func presolve(m *Model) (*presolved, error) {
 				}
 				if viol {
 					return nil, fmt.Errorf("%w: presolve: row %s reduces to 0 %s %g",
-						ErrInfeasible, m.cons[i].Name, r.op, r.rhs)
+						ErrInfeasible, m.rowName(&m.cons[i]), r.op, r.rhs)
 				}
 				r.live = false
 				p.stats.EmptyRows++
@@ -410,7 +410,11 @@ func presolve(m *Model) (*presolved, error) {
 		if !r.live {
 			continue
 		}
-		red.cons = append(red.cons, Constraint{Name: m.cons[i].Name, Terms: r.terms, Op: r.op, RHS: r.rhs})
+		// The row keeps its name and id, so errors about the reduced
+		// model name the caller's rows.
+		c := m.cons[i]
+		c.Terms, c.Op, c.RHS = r.terms, r.op, r.rhs
+		red.cons = append(red.cons, c)
 		p.rowMap = append(p.rowMap, i)
 	}
 	p.reduced = red

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -270,13 +271,9 @@ func (m *Model) SolveWith(opts Options) (*Solution, error) {
 			// Crash hints follow the rows into the reduced index space;
 			// hints on rows presolve removed are dropped (the dual route
 			// rejects a hint set that no longer determines a basis).
-			origToRed := make(map[int]int, len(pre.rowMap))
-			for red, orig := range pre.rowMap {
-				origToRed[orig] = red
-			}
 			mapped := make([]int, 0, len(opts.CrashRows))
 			for _, r := range opts.CrashRows {
-				if red, ok := origToRed[r]; ok {
+				if red, ok := slices.BinarySearch(pre.rowMap, r); ok {
 					mapped = append(mapped, red)
 				}
 			}
@@ -407,7 +404,7 @@ func flatErr(err error) string {
 func (m *Model) solveRowFree() (*Solution, error) {
 	sol := &Solution{
 		Status: StatusOptimal,
-		X:      make([]float64, len(m.varNames)),
+		X:      make([]float64, len(m.obj)),
 		Duals:  []float64{},
 		Route:  "presolve",
 	}
@@ -419,7 +416,7 @@ func (m *Model) solveRowFree() (*Solution, error) {
 		if c < 0 {
 			if math.IsInf(m.hi[v], 1) {
 				return &Solution{Status: StatusUnbounded, Route: "presolve"},
-					fmt.Errorf("%w: variable %s improves the objective without bound", ErrUnbounded, m.varNames[v])
+					fmt.Errorf("%w: variable %s improves the objective without bound", ErrUnbounded, m.VariableName(v))
 			}
 			sol.X[v] = m.hi[v]
 		}

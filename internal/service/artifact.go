@@ -77,8 +77,9 @@ const (
 
 // Artifact is the decoded (or to-be-encoded) persistent form of one
 // built mechanism. It is plain data: Instantiate turns it back into
-// serving tables, re-validating everything a hostile encoding could
-// have forged.
+// serving tables, re-checking that the matrix is column-stochastic. It
+// does not check the claimed privacy: the α-DP ratios and the Props
+// are taken on trust (ROADMAP item 1).
 type Artifact struct {
 	// Spec is the canonical spec the mechanism was built for; its ID is
 	// the artifact's identity in the store and the v2 API.
@@ -302,9 +303,11 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 // Instantiate turns a decoded artifact back into serving tables,
 // performing the expensive re-verification DecodeArtifact skips: the
 // matrix must be a valid column-stochastic mechanism (core.New's
-// check), and the sampler tables are rebuilt from it. A forged or
-// bit-rotted artifact fails here with ErrArtifactInvalid rather than
-// ever serving a wrong distribution.
+// check), and the sampler tables are rebuilt from it. A bit-rotted or
+// malformed artifact fails here with ErrArtifactInvalid. A forged one
+// that stays column-stochastic does not: nothing checks its matrix
+// against the α-DP ratio bounds or its claimed Props, so it installs
+// and serves (ROADMAP item 1).
 func (a *Artifact) Instantiate() (*core.Mechanism, *core.Sampler, error) {
 	m, err := core.FromProbsRowMajor(a.Name, a.Spec.N, a.Alpha, a.Probs)
 	if err != nil {
