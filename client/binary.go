@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // This file is the binary form of the /v2/query op stream, shared —
@@ -397,9 +398,16 @@ func appendCount(b []byte, v int) ([]byte, error) {
 	return binary.AppendUvarint(b, uint64(v)), nil
 }
 
+// appendCounts encodes vs as a length-prefixed uvarint vector. Counts
+// below 0x80, nearly all of a small mechanism's outputs, are their own
+// one-byte varint and are appended directly.
 func appendCounts(b []byte, vs []int) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(vs)))
 	for _, v := range vs {
+		if uint(v) < 0x80 {
+			b = append(b, byte(v))
+			continue
+		}
 		var err error
 		if b, err = appendCount(b, v); err != nil {
 			return nil, err
@@ -472,6 +480,8 @@ func (d *decoder) count() int {
 
 // counts decodes a length-prefixed int vector into dst's capacity. A
 // zero-length vector yields nil, matching JSON omitempty round trips.
+// One-byte varints, nearly all of a small mechanism's outputs, are
+// decoded inline; an error leaves the read position where count would.
 func (d *decoder) counts(dst []int) []int {
 	k := d.uvarint()
 	if k == 0 || d.err != nil {
@@ -483,12 +493,30 @@ func (d *decoder) counts(dst []int) []int {
 		d.fail("vector length %d exceeds frame", k)
 		return nil
 	}
-	for i := uint64(0); i < k; i++ {
-		dst = append(dst, d.count())
+	n := len(dst)
+	dst = slices.Grow(dst, int(k))[:n+int(k)]
+	out, buf := dst[n:], d.buf
+	for i := range out {
+		if len(buf) > 0 && buf[0] < 0x80 {
+			out[i] = int(buf[0])
+			buf = buf[1:]
+			continue
+		}
+		v, w := binary.Uvarint(buf)
+		if w <= 0 {
+			d.buf = buf
+			d.fail("bad varint")
+			return nil
+		}
+		buf = buf[w:]
+		if v > math.MaxInt32 {
+			d.buf = buf
+			d.fail("count %d out of range", v)
+			return nil
+		}
+		out[i] = int(v)
 	}
-	if d.err != nil {
-		return nil
-	}
+	d.buf = buf
 	return dst
 }
 

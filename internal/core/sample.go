@@ -9,8 +9,8 @@ import (
 
 // Sampler draws outputs from a mechanism using alias tables precomputed
 // once at construction: one Vose alias table per input column, laid out
-// flat — prob and alias hold (n+1)² cells, column j at offset j·(n+1) —
-// so a mechanism's sampling state is two allocations, 12 bytes per cell,
+// in one rng.AliasSlab — (n+1)² cells, column j at offset j·(n+1) — so
+// a mechanism's sampling state is two allocations, 12 bytes per cell,
 // for O(1) draws.
 //
 // After NewSampler returns, a Sampler is strictly read-only: no method
@@ -20,10 +20,8 @@ import (
 // serving layer (internal/service) relies on this: it builds one Sampler
 // per cached mechanism and serves all traffic from it.
 type Sampler struct {
-	m     *Mechanism
-	k     int       // n+1: outcomes per column, and columns
-	prob  []float64 // k×k alias acceptance probabilities, column-major
-	alias []int32   // k×k alias targets, column-major
+	m    *Mechanism
+	slab rng.AliasSlab // column j is input j's table
 }
 
 // NewSampler precomputes the alias table of every input column of m. All
@@ -31,51 +29,31 @@ type Sampler struct {
 // a constant number of allocations whatever n is.
 func NewSampler(m *Mechanism) (*Sampler, error) {
 	k := m.n + 1
-	s := &Sampler{
-		m:     m,
-		k:     k,
-		prob:  make([]float64, k*k),
-		alias: make([]int32, k*k),
-	}
+	s := &Sampler{m: m, slab: rng.NewAliasSlab(k, k)}
 	var v rng.Vose
 	col := make([]float64, k)
 	for j := 0; j < k; j++ {
 		for i := range col {
 			col[i] = m.p.At(i, j)
 		}
-		off := j * k
-		if err := v.Fill(s.prob[off:off+k], s.alias[off:off+k], col); err != nil {
+		prob, alias := s.slab.Column(j)
+		if err := v.Fill(prob, alias, col); err != nil {
 			return nil, fmt.Errorf("core: NewSampler column %d: %w", j, err)
 		}
 	}
 	return s, nil
 }
 
-// column returns input j's alias table. Like slice indexing, it panics
-// if j is out of range.
-func (s *Sampler) column(j int) ([]float64, []int32) {
-	if uint(j) >= uint(s.k) {
-		panic("core: Sampler input out of range")
-	}
-	off := j * s.k
-	return s.prob[off : off+s.k : off+s.k], s.alias[off : off+s.k : off+s.k]
-}
-
 // Bytes returns the heap footprint of the sampler's tables: 12 bytes per
 // cell of the (n+1)×(n+1) matrix, excluding the mechanism itself.
-func (s *Sampler) Bytes() int {
-	return 8*len(s.prob) + 4*len(s.alias)
-}
+func (s *Sampler) Bytes() int { return s.slab.Bytes() }
 
 // Mechanism returns the mechanism the sampler draws from.
 func (s *Sampler) Mechanism() *Mechanism { return s.m }
 
 // Sample draws one output for true count j in O(1) via the alias table.
 // It panics if j is out of range, mirroring slice indexing semantics.
-func (s *Sampler) Sample(src rng.Source, j int) int {
-	prob, alias := s.column(j)
-	return rng.SampleAlias(src, prob, alias)
-}
+func (s *Sampler) Sample(src rng.Source, j int) int { return s.slab.Sample(src, j) }
 
 // SampleMany draws one output for each true count in js, appending to dst
 // (pass nil to allocate). Draws consume src in the same order as calling
@@ -100,38 +78,14 @@ func (s *Sampler) SampleMany(src rng.Source, js []int, dst []int) []int {
 // same order as SampleMany, so the two are interchangeable under a
 // seeded source.
 func (s *Sampler) SampleManyInto(src rng.Source, js []int, dst []int) {
-	_ = dst[:len(js)]
-	k := s.k
-	for i, j := range js {
-		if uint(j) >= uint(k) {
-			panic("core: Sampler input out of range")
-		}
-		// rng.SampleAlias written out on column j's offset: it is too
-		// large to inline, and this loop is the serving hot path.
-		off := j * k
-		x := src.IntN(k)
-		if src.Float64() < s.prob[off+x] {
-			dst[i] = x
-		} else {
-			dst[i] = int(s.alias[off+x])
-		}
-	}
+	s.slab.SampleColumnsInto(src, js, dst)
 }
 
 // SampleBatchInto draws len(dst) independent outputs for the single
-// true count j into dst without allocating: the alias table is looked
-// up once and every draw is O(1).
+// true count j into dst without allocating: every draw is O(1) from
+// input j's table.
 func (s *Sampler) SampleBatchInto(src rng.Source, j int, dst []int) {
-	prob, alias := s.column(j)
-	for i := range dst {
-		// rng.SampleAlias written out, as in SampleManyInto.
-		x := src.IntN(len(prob))
-		if src.Float64() < prob[x] {
-			dst[i] = x
-		} else {
-			dst[i] = int(alias[x])
-		}
-	}
+	s.slab.SampleColumnInto(src, j, dst)
 }
 
 // SampleBatch draws k independent outputs for the single true count j,
@@ -174,7 +128,7 @@ func (s *Sampler) SampleInverse(src rng.Source, j int) int {
 // computed from the mechanism's column: CDF(j)[i] = Pr[output <= i |
 // input = j]. The last entry is exactly 1.
 func (s *Sampler) CDF(j int) []float64 {
-	out := make([]float64, s.k)
+	out := make([]float64, s.m.n+1)
 	var acc float64
 	for i := range out {
 		acc += s.m.p.At(i, j)

@@ -166,6 +166,23 @@ func TestSamplePanicsOutOfRange(t *testing.T) {
 	s.Sample(rng.New(1), 5)
 }
 
+func TestSampleBatchIntoPanicsOutOfRangeOnEmptyBatch(t *testing.T) {
+	m, err := Uniform(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampler(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SampleBatchInto with an out-of-range input and no draws did not panic")
+		}
+	}()
+	s.SampleBatchInto(rng.New(1), 3, nil)
+}
+
 func TestSamplerDeterministicWithSeed(t *testing.T) {
 	m, err := Geometric(5, 0.9)
 	if err != nil {

@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Vose builds alias tables (Vose's alias method) into caller-owned
@@ -83,38 +84,167 @@ func (v *Vose) Fill(prob []float64, alias []int32, weights []float64) error {
 	return nil
 }
 
+// AliasSlab is a column-major slab of alias tables with k outcomes per
+// column: column c's table is prob[c·k:(c+1)·k] and alias[c·k:(c+1)·k],
+// each filled by Vose.Fill through Column. Its draw methods share one
+// kernel; a slab is read-only while drawn from, so any number of
+// goroutines may draw from it at once, each with its own Source.
+type AliasSlab struct {
+	prob  []float64
+	alias []int32
+	k     int // outcomes per column
+	cols  int
+}
+
+// NewAliasSlab allocates an unfilled slab of cols tables of k outcomes
+// each.
+func NewAliasSlab(k, cols int) AliasSlab {
+	return AliasSlab{prob: make([]float64, k*cols), alias: make([]int32, k*cols), k: k, cols: cols}
+}
+
+// Column returns column c's table for Vose.Fill to fill. Like slice
+// indexing, it panics if c is out of range.
+func (s AliasSlab) Column(c int) ([]float64, []int32) {
+	if uint(c) >= uint(s.cols) {
+		panicColumn(c, s.cols)
+	}
+	off := c * s.k
+	return s.prob[off : off+s.k : off+s.k], s.alias[off : off+s.k : off+s.k]
+}
+
+// Bytes returns the heap footprint of the slab's tables: 12 bytes per
+// cell.
+func (s AliasSlab) Bytes() int { return 8*len(s.prob) + 4*len(s.alias) }
+
+// Sample draws one outcome from column c. It panics if c is out of
+// range.
+func (s AliasSlab) Sample(src Source, c int) int {
+	var out [1]int
+	s.sampleInto(src, nil, c, out[:])
+	return out[0]
+}
+
+// SampleColumnsInto draws one outcome from column cols[i] into dst[i]
+// for each i, without allocating. It panics if len(dst) < len(cols) or
+// a column is out of range; draws before the bad column have then been
+// written.
+func (s AliasSlab) SampleColumnsInto(src Source, cols []int, dst []int) {
+	s.sampleInto(src, cols, 0, dst[:len(cols)])
+}
+
+// SampleColumnInto fills dst with independent draws from column c,
+// without allocating. It panics if c is out of range, even when dst is
+// empty.
+func (s AliasSlab) SampleColumnInto(src Source, c int, dst []int) {
+	if uint(c) >= uint(s.cols) {
+		panicColumn(c, s.cols)
+	}
+	s.sampleInto(src, nil, c, dst)
+}
+
+// sampleInto is the one alias-draw kernel: dst[i] is a draw from column
+// cols[i], or from column c for every i when cols is nil. Each draw
+// takes IntN(k) and then Float64 from src, in that order, and selects
+// the slot or its alias without a data-dependent branch. A *Rand is
+// drawn from directly, with no interface call; any other Source takes
+// the generic path, which consumes it in the same order.
+func (s AliasSlab) sampleInto(src Source, cols []int, c int, dst []int) {
+	if r, ok := src.(*Rand); ok {
+		s.sampleRand(r, cols, c, dst)
+		return
+	}
+	k, prob, alias := s.k, s.prob, s.alias[:len(s.prob)]
+	for i := range dst {
+		if cols != nil {
+			c = cols[i]
+		}
+		if uint(c) >= uint(s.cols) {
+			panicColumn(c, s.cols)
+		}
+		x := src.IntN(k)
+		u := src.Float64()
+		off := c*k + x
+		p, a := prob[off], int(alias[off])
+		if u < p {
+			a = x
+		}
+		dst[i] = a
+	}
+}
+
+// sampleRand is sampleInto's path for a *Rand. IntN(k) is Rand.uint64n
+// written out, with its power-of-two test and Lemire's rejection
+// threshold hoisted out of the loop: redrawing while the product's low
+// word is below thresh = 2⁶⁴ mod k is the same as uint64n's two-stage
+// test, since thresh < k.
+func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
+	k, prob, alias := s.k, s.prob, s.alias[:len(s.prob)]
+	n := uint64(k)
+	pow2 := n&(n-1) == 0
+	var thresh uint64
+	if !pow2 {
+		thresh = -n % n
+	}
+	for i := range dst {
+		if cols != nil {
+			c = cols[i]
+		}
+		if uint(c) >= uint(s.cols) {
+			panicColumn(c, s.cols)
+		}
+		var x uint64
+		if v := r.Uint64(); pow2 {
+			x = v & (n - 1)
+		} else {
+			var lo uint64
+			if x, lo = bits.Mul64(v, n); lo < thresh {
+				x = r.redraw(n, thresh)
+			}
+		}
+		u := r.Float64()
+		off := c*k + int(x)
+		p, a := prob[off], int(alias[off])
+		if u < p {
+			a = int(x)
+		}
+		dst[i] = a
+	}
+}
+
+// panicColumn is kept out of line so the kernel's loop stays small.
+//
+//go:noinline
+func panicColumn(c, cols int) {
+	panic(fmt.Sprintf("rng: alias column %d out of range [0, %d)", c, cols))
+}
+
 // SampleAlias draws one outcome index from the alias table (prob, alias)
 // filled by Vose.Fill: one IntN and one Float64 from src per draw.
 func SampleAlias(src Source, prob []float64, alias []int32) int {
-	i := src.IntN(len(prob))
-	if src.Float64() < prob[i] {
-		return i
-	}
-	return int(alias[i])
+	return AliasSlab{prob: prob, alias: alias, k: len(prob), cols: 1}.Sample(src, 0)
 }
 
 // Alias is a standalone alias table for one fixed discrete distribution,
-// drawn from in O(1). Mechanisms keep their per-column tables in flat
-// slabs instead (see core.Sampler); Alias is the single-distribution
-// convenience over the same Vose fill.
+// drawn from in O(1): a one-column AliasSlab. Mechanisms keep their
+// per-column tables in one slab instead (see core.Sampler).
 type Alias struct {
-	prob  []float64
-	alias []int32
+	slab AliasSlab
 }
 
 // NewAlias builds an alias table for the given weights. Weights must be
 // non-negative, finite, and have a positive sum; they need not be
 // normalised.
 func NewAlias(weights []float64) (*Alias, error) {
-	a := &Alias{prob: make([]float64, len(weights)), alias: make([]int32, len(weights))}
-	if err := new(Vose).Fill(a.prob, a.alias, weights); err != nil {
+	a := &Alias{slab: NewAliasSlab(len(weights), 1)}
+	prob, alias := a.slab.Column(0)
+	if err := new(Vose).Fill(prob, alias, weights); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
 // N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.prob) }
+func (a *Alias) N() int { return a.slab.k }
 
 // Sample draws one outcome index using src.
-func (a *Alias) Sample(src Source) int { return SampleAlias(src, a.prob, a.alias) }
+func (a *Alias) Sample(src Source) int { return a.slab.Sample(src, 0) }

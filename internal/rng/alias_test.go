@@ -159,10 +159,11 @@ func TestVoseFillReusesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantProb, wantAlias := want.slab.Column(0)
 		for i := range weights {
-			if prob[i] != want.prob[i] || alias[i] != want.alias[i] {
+			if prob[i] != wantProb[i] || alias[i] != wantAlias[i] {
 				t.Fatalf("weights %v slot %d: reused fill (%v, %d), fresh (%v, %d)",
-					weights, i, prob[i], alias[i], want.prob[i], want.alias[i])
+					weights, i, prob[i], alias[i], wantProb[i], wantAlias[i])
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	mathrand "math/rand/v2"
 )
 
@@ -27,17 +28,22 @@ type Source interface {
 	IntN(n int) int
 }
 
-// Rand is a seeded, reproducible source backed by math/rand/v2's PCG
-// generator. It is not safe for concurrent use; create one per goroutine
-// (Split derives independent streams).
+// Rand is a seeded, reproducible source: math/rand/v2's PCG-DXSM
+// generator with its 128-bit state held inline, so a draw is a direct,
+// inlinable call. Uint64, Float64 and IntN
+// reproduce math/rand/v2's algorithms exactly, and Perm and Shuffle run
+// math/rand/v2's own code over the same state, so every stream is
+// bit-for-bit that of rand.New(rand.NewPCG(...)) seeded the same way.
+// A Rand is not safe for concurrent use; create one per goroutine (Split
+// derives independent streams).
 type Rand struct {
-	r  *mathrand.Rand
-	id uint64
+	hi, lo uint64 // PCG state, as math/rand/v2's PCG
+	id     uint64
 }
 
 // New returns a reproducible source seeded from seed.
 func New(seed uint64) *Rand {
-	return &Rand{r: mathrand.New(mathrand.NewPCG(seed, seed^0x9e3779b97f4a7c15)), id: seed}
+	return &Rand{hi: seed, lo: seed ^ 0x9e3779b97f4a7c15, id: seed}
 }
 
 // StreamID identifies the source's stream: the seed for New, the mint
@@ -49,24 +55,81 @@ func (r *Rand) StreamID() uint64 { return r.id }
 // the same source with different ids produce uncorrelated streams, which
 // lets parallel experiment repetitions share one master seed.
 func (r *Rand) Split(id uint64) *Rand {
-	hi := r.r.Uint64()
-	return &Rand{r: mathrand.New(mathrand.NewPCG(hi^id, id*0xbf58476d1ce4e5b9+1))}
+	hi := r.Uint64()
+	return &Rand{hi: hi ^ id, lo: id*0xbf58476d1ce4e5b9 + 1}
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 { return r.r.Float64() }
+// Uint64 returns a uniform 64-bit value: one step of the 128-bit LCG
+// followed by the DXSM output function, as math/rand/v2's PCG.Uint64.
+func (r *Rand) Uint64() uint64 {
+	const (
+		mulHi = 2549297995355413924
+		mulLo = 4865540595714422341
+		incHi = 6364136223846793005
+		incLo = 1442695040888963407
+	)
+	// state = state * mul + inc
+	hi, lo := bits.Mul64(r.lo, mulLo)
+	hi += r.hi*mulLo + r.lo*mulHi
+	lo, c := bits.Add64(lo, incLo, 0)
+	hi, _ = bits.Add64(hi, incHi, c)
+	r.lo, r.hi = lo, hi
 
-// Uint64 returns a uniform 64-bit value.
-func (r *Rand) Uint64() uint64 { return r.r.Uint64() }
+	// DXSM "double xorshift multiply".
+	const cheapMul = 0xda942042e4dd58b5
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	hi *= lo | 1
+	return hi
+}
 
-// IntN returns a uniform value in [0, n).
-func (r *Rand) IntN(n int) int { return r.r.IntN(n) }
+// Float64 returns a uniform value in [0, 1): the low 53 bits of one
+// Uint64 over 2⁵³, as math/rand/v2's Rand.Float64.
+func (r *Rand) Float64() float64 { return float64(r.Uint64()<<11>>11) / (1 << 53) }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
+// IntN returns a uniform value in [0, n). It panics if n <= 0.
+func (r *Rand) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	return int(r.uint64n(uint64(n)))
+}
 
-// Shuffle randomises the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.r.Shuffle(n, swap) }
+// uint64n is math/rand/v2's Rand.uint64n: a mask for powers of two,
+// otherwise Lemire's multiply-shift with the same rejection threshold.
+func (r *Rand) uint64n(n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		if thresh := -n % n; lo < thresh {
+			hi = r.redraw(n, thresh)
+		}
+	}
+	return hi
+}
+
+// redraw finishes a Lemire draw on [0, n) whose first product's low
+// word fell below thresh = 2⁶⁴ mod n: it draws again until one does
+// not. For the n a sampler uses it almost never runs.
+func (r *Rand) redraw(n, thresh uint64) uint64 {
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= thresh {
+			return hi
+		}
+	}
+}
+
+// Perm returns a random permutation of [0, n), drawn by math/rand/v2's
+// Rand.Perm over r's stream.
+func (r *Rand) Perm(n int) []int { return mathrand.New(r).Perm(n) }
+
+// Shuffle randomises the order of n elements using swap, by
+// math/rand/v2's Rand.Shuffle over r's stream.
+func (r *Rand) Shuffle(n int, swap func(i, j int)) { mathrand.New(r).Shuffle(n, swap) }
 
 // CryptoSource is a Source backed by crypto/rand. It is safe for
 // concurrent use and suitable for releasing real data under differential

@@ -363,8 +363,8 @@ func (s *Service) SampleBatchIntoCtx(ctx context.Context, spec Spec, js, dst []i
 
 // SampleBatchSeededInto is SampleBatchInto with reproducible
 // randomness: draws match SampleBatchSeeded exactly. The outputs are
-// written without allocating, though the seeded generator itself is a
-// per-call allocation — determinism requires a fresh stream.
+// written without allocating; the one allocation per call is the fresh
+// seeded generator that determinism requires.
 func (s *Service) SampleBatchSeededInto(ctx context.Context, spec Spec, seed uint64, js, dst []int) error {
 	if len(dst) < len(js) {
 		return fmt.Errorf("service: result buffer holds %d, need %d", len(dst), len(js))

@@ -324,3 +324,35 @@ func TestSampleBatchIntoZeroAlloc(t *testing.T) {
 		t.Errorf("SampleBatchInto allocated %.2f times per 256-draw batch", n)
 	}
 }
+
+// TestSampleBatchSeededIntoAllocatesOnce pins the seeded batch op's one
+// allocation, its fresh generator, beside the unseeded op's none.
+func TestSampleBatchSeededIntoAllocatesOnce(t *testing.T) {
+	svc := New(Config{Seed: 2})
+	spec := Spec{Kind: KindGeometric, N: 16, Alpha: 0.5}
+	js := make([]int, 256)
+	for k := range js {
+		js[k] = k % (spec.N + 1)
+	}
+	dst := make([]int, len(js))
+	ctx := context.Background()
+	if err := svc.SampleBatchSeededInto(ctx, spec, 7, js, dst); err != nil {
+		t.Fatal(err)
+	}
+	seeded := testing.AllocsPerRun(200, func() {
+		if err := svc.SampleBatchSeededInto(ctx, spec, 7, js, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if seeded > 1 {
+		t.Errorf("SampleBatchSeededInto allocated %.2f times per 256-draw batch, want at most 1", seeded)
+	}
+	unseeded := testing.AllocsPerRun(200, func() {
+		if err := svc.SampleBatchIntoCtx(ctx, spec, js, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if unseeded > 0.05 {
+		t.Errorf("SampleBatchIntoCtx allocated %.2f times per 256-draw batch", unseeded)
+	}
+}
