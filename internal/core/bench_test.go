@@ -6,9 +6,13 @@ import (
 	"privcount/internal/rng"
 )
 
-// benchMix is the closed-form part of the query-stream serving set — GM
+// benchMix is the closed-form part of query-stream's serving set — GM
 // and EM from n=16 to n=256 and UM at n=1024 — with GM at n=256 standing
-// in for its n=256 band LP, which this package cannot build.
+// in for its n=256 band LP, which this package cannot build. It differs
+// from that set in two ways: the n=192 RH LP has no stand-in, and the
+// benchmark weights the seven evenly where query-stream draws its eight
+// under a Zipf(1.2) skew, hottest first. It tracks the kernel, not the
+// serving mix; perfbench's traced core.sample_ns_per_sample reads that.
 func benchMix(b *testing.B) []*Sampler {
 	b.Helper()
 	type spec struct {

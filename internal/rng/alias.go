@@ -3,7 +3,6 @@ package rng
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Vose builds alias tables (Vose's alias method) into caller-owned
@@ -17,8 +16,9 @@ type Vose struct {
 
 // Fill writes the alias table for weights into prob and alias, which
 // must both have len(weights) entries. Weights must be non-negative,
-// finite, and have a positive sum; they need not be normalised. Draw
-// from the filled table with SampleAlias.
+// finite, and have a positive sum; they need not be normalised. The
+// slices are usually an AliasSlab's Column, drawn from through the
+// slab.
 func (v *Vose) Fill(prob []float64, alias []int32, weights []float64) error {
 	n := len(weights)
 	if n == 0 {
@@ -172,19 +172,10 @@ func (s AliasSlab) sampleInto(src Source, cols []int, c int, dst []int) {
 	}
 }
 
-// sampleRand is sampleInto's path for a *Rand. IntN(k) is Rand.uint64n
-// written out, with its power-of-two test and Lemire's rejection
-// threshold hoisted out of the loop: redrawing while the product's low
-// word is below thresh = 2⁶⁴ mod k is the same as uint64n's two-stage
-// test, since thresh < k.
+// sampleRand is sampleInto's loop for a *Rand: the same draws, called
+// directly instead of through Source.
 func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
 	k, prob, alias := s.k, s.prob, s.alias[:len(s.prob)]
-	n := uint64(k)
-	pow2 := n&(n-1) == 0
-	var thresh uint64
-	if !pow2 {
-		thresh = -n % n
-	}
 	for i := range dst {
 		if cols != nil {
 			c = cols[i]
@@ -192,20 +183,12 @@ func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
 		if uint(c) >= uint(s.cols) {
 			panicColumn(c, s.cols)
 		}
-		var x uint64
-		if v := r.Uint64(); pow2 {
-			x = v & (n - 1)
-		} else {
-			var lo uint64
-			if x, lo = bits.Mul64(v, n); lo < thresh {
-				x = r.redraw(n, thresh)
-			}
-		}
+		x := int(r.uint64n(uint64(k)))
 		u := r.Float64()
-		off := c*k + int(x)
+		off := c*k + x
 		p, a := prob[off], int(alias[off])
 		if u < p {
-			a = int(x)
+			a = x
 		}
 		dst[i] = a
 	}
@@ -217,34 +200,3 @@ func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
 func panicColumn(c, cols int) {
 	panic(fmt.Sprintf("rng: alias column %d out of range [0, %d)", c, cols))
 }
-
-// SampleAlias draws one outcome index from the alias table (prob, alias)
-// filled by Vose.Fill: one IntN and one Float64 from src per draw.
-func SampleAlias(src Source, prob []float64, alias []int32) int {
-	return AliasSlab{prob: prob, alias: alias, k: len(prob), cols: 1}.Sample(src, 0)
-}
-
-// Alias is a standalone alias table for one fixed discrete distribution,
-// drawn from in O(1): a one-column AliasSlab. Mechanisms keep their
-// per-column tables in one slab instead (see core.Sampler).
-type Alias struct {
-	slab AliasSlab
-}
-
-// NewAlias builds an alias table for the given weights. Weights must be
-// non-negative, finite, and have a positive sum; they need not be
-// normalised.
-func NewAlias(weights []float64) (*Alias, error) {
-	a := &Alias{slab: NewAliasSlab(len(weights), 1)}
-	prob, alias := a.slab.Column(0)
-	if err := new(Vose).Fill(prob, alias, weights); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// N returns the number of outcomes.
-func (a *Alias) N() int { return a.slab.k }
-
-// Sample draws one outcome index using src.
-func (a *Alias) Sample(src Source) int { return a.slab.Sample(src, 0) }

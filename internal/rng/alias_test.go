@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// newAlias builds a one-column slab for weights.
+func newAlias(weights []float64) (AliasSlab, error) {
+	s := NewAliasSlab(len(weights), 1)
+	prob, alias := s.Column(0)
+	return s, new(Vose).Fill(prob, alias, weights)
+}
+
 func TestNewAliasErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -18,37 +25,37 @@ func TestNewAliasErrors(t *testing.T) {
 		{"all zero", []float64{0, 0, 0}},
 	}
 	for _, c := range cases {
-		if _, err := NewAlias(c.weights); err == nil {
+		if _, err := newAlias(c.weights); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
 }
 
 func TestAliasN(t *testing.T) {
-	a, err := NewAlias([]float64{1, 2, 3})
+	a, err := newAlias([]float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.N() != 3 {
-		t.Fatalf("N = %d", a.N())
+	if prob, alias := a.Column(0); len(prob) != 3 || len(alias) != 3 {
+		t.Fatalf("column has %d/%d slots, want 3", len(prob), len(alias))
 	}
 }
 
 func TestAliasPointMass(t *testing.T) {
-	a, err := NewAlias([]float64{0, 1, 0})
+	a, err := newAlias([]float64{0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := New(1)
 	for i := 0; i < 1000; i++ {
-		if got := a.Sample(r); got != 1 {
+		if got := a.Sample(r, 0); got != 1 {
 			t.Fatalf("point mass sampled %d", got)
 		}
 	}
 }
 
 func TestAliasUniform(t *testing.T) {
-	a, err := NewAlias([]float64{1, 1, 1, 1})
+	a, err := newAlias([]float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +63,7 @@ func TestAliasUniform(t *testing.T) {
 	counts := make([]int, 4)
 	const trials = 100000
 	for i := 0; i < trials; i++ {
-		counts[a.Sample(r)]++
+		counts[a.Sample(r, 0)]++
 	}
 	for i, c := range counts {
 		if math.Abs(float64(c)/trials-0.25) > 0.01 {
@@ -67,7 +74,7 @@ func TestAliasUniform(t *testing.T) {
 
 func TestAliasUnnormalizedWeights(t *testing.T) {
 	// Weights need not sum to 1; only ratios matter.
-	a, err := NewAlias([]float64{3, 1})
+	a, err := newAlias([]float64{3, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +82,7 @@ func TestAliasUnnormalizedWeights(t *testing.T) {
 	const trials = 100000
 	zero := 0
 	for i := 0; i < trials; i++ {
-		if a.Sample(r) == 0 {
+		if a.Sample(r, 0) == 0 {
 			zero++
 		}
 	}
@@ -86,7 +93,7 @@ func TestAliasUnnormalizedWeights(t *testing.T) {
 
 func TestAliasChiSquare(t *testing.T) {
 	weights := []float64{0.05, 0.3, 0.15, 0.4, 0.1}
-	a, err := NewAlias(weights)
+	a, err := newAlias(weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +101,7 @@ func TestAliasChiSquare(t *testing.T) {
 	const trials = 200000
 	counts := make([]int, len(weights))
 	for i := 0; i < trials; i++ {
-		counts[a.Sample(r)]++
+		counts[a.Sample(r, 0)]++
 	}
 	var chi2 float64
 	for i, w := range weights {
@@ -116,7 +123,7 @@ func TestAliasMatchesWeightsProperty(t *testing.T) {
 			weights[i] = float64(v%16) + 0.01
 			sum += weights[i]
 		}
-		a, err := NewAlias(weights)
+		a, err := newAlias(weights)
 		if err != nil {
 			return false
 		}
@@ -124,7 +131,7 @@ func TestAliasMatchesWeightsProperty(t *testing.T) {
 		const trials = 20000
 		counts := make([]int, 4)
 		for i := 0; i < trials; i++ {
-			counts[a.Sample(r)]++
+			counts[a.Sample(r, 0)]++
 		}
 		for i := range weights {
 			want := weights[i] / sum
@@ -141,7 +148,7 @@ func TestAliasMatchesWeightsProperty(t *testing.T) {
 }
 
 // TestVoseFillReusesScratch fills tables of shrinking and growing sizes
-// from one Vose and checks each against a fresh NewAlias: reused
+// from one Vose and checks each against a fresh one-column slab: reused
 // scratch must not carry state from one fill into the next.
 func TestVoseFillReusesScratch(t *testing.T) {
 	var v Vose
@@ -155,11 +162,11 @@ func TestVoseFillReusesScratch(t *testing.T) {
 		if err := v.Fill(prob, alias, weights); err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewAlias(weights)
+		want, err := newAlias(weights)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantProb, wantAlias := want.slab.Column(0)
+		wantProb, wantAlias := want.Column(0)
 		for i := range weights {
 			if prob[i] != wantProb[i] || alias[i] != wantAlias[i] {
 				t.Fatalf("weights %v slot %d: reused fill (%v, %d), fresh (%v, %d)",

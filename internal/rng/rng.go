@@ -104,23 +104,12 @@ func (r *Rand) uint64n(n uint64) uint64 {
 	}
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		if thresh := -n % n; lo < thresh {
-			hi = r.redraw(n, thresh)
+		thresh := -n % n
+		for lo < thresh {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-// redraw finishes a Lemire draw on [0, n) whose first product's low
-// word fell below thresh = 2⁶⁴ mod n: it draws again until one does
-// not. For the n a sampler uses it almost never runs.
-func (r *Rand) redraw(n, thresh uint64) uint64 {
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), n)
-		if lo >= thresh {
-			return hi
-		}
-	}
 }
 
 // Perm returns a random permutation of [0, n), drawn by math/rand/v2's

@@ -134,14 +134,14 @@ func TestAliasSampleFastPathMatchesGeneric(t *testing.T) {
 		{1, 0, 2, 0, 5, 1, 1, 3}, // 8 outcomes: the mask path
 		{1},
 	} {
-		a, err := NewAlias(weights)
+		a, err := newAlias(weights)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for seed := uint64(0); seed < 20; seed++ {
 			fast, generic := New(seed), opaque{New(seed)}
 			for i := 0; i < 200; i++ {
-				if g, w := a.Sample(fast), a.Sample(generic); g != w {
+				if g, w := a.Sample(fast, 0), a.Sample(generic, 0); g != w {
 					t.Fatalf("weights %v seed %d draw %d: fast path %d, generic %d", weights, seed, i, g, w)
 				}
 			}
