@@ -683,3 +683,67 @@ func TestClusterSyncCountsConflicts(t *testing.T) {
 		t.Fatalf("after second pass: conflicts=%d pulls=%d, want 2, 0", st.SyncConflicts, st.SyncPulls)
 	}
 }
+
+// TestClusterSyncRejectsForgedClosedForm: a peer serving a gm artifact
+// whose matrix is column-stochastic but not GM's (two cells of column 0
+// swapped) is refused on sync and counted as a reject.
+func TestClusterSyncRejectsForgedClosedForm(t *testing.T) {
+	spec := service.Spec{Kind: service.KindGeometric, N: 8, Alpha: 0.5}
+	id := spec.ID()
+	src := service.New(service.Config{Seed: 1})
+	defer src.Close()
+	if _, err := src.Get(spec); err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.ExportArtifact(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := service.DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := spec.N + 1
+	a.Probs[0], a.Probs[k] = a.Probs[k], a.Probs[0]
+	forged := a.Encode()
+
+	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v2/mechanisms":
+			json.NewEncoder(w).Encode(map[string]any{
+				"mechanisms": []map[string]any{{"id": id, "state": "ready"}},
+			})
+		case "/v2/mechanisms/" + id + "/artifact":
+			w.Write(forged)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer hostile.Close()
+
+	svc := service.New(service.Config{Capacity: 8})
+	defer svc.Close()
+	self := "http://127.0.0.1:1" // never dialed: sync skips self
+	node, err := cluster.New(svc, cluster.Config{
+		Self:         self,
+		Membership:   cluster.Static([]cluster.Peer{{URL: self}, {URL: hostile.URL}}),
+		Replication:  2,
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := node.SyncNow(ctx); err == nil {
+		t.Fatal("SyncNow succeeded against a peer serving a forged GM")
+	}
+	if st := node.Status(); st.SyncRejects != 1 || st.SyncPulls != 0 {
+		t.Fatalf("SyncRejects = %d, SyncPulls = %d; want 1 and 0", st.SyncRejects, st.SyncPulls)
+	}
+	if _, err := svc.Peek(spec); !errors.Is(err, service.ErrNotAdmitted) {
+		t.Fatalf("Peek after rejected import: err = %v, want ErrNotAdmitted", err)
+	}
+}

@@ -291,3 +291,42 @@ func TestArtifactPathAndHeaderEdges(t *testing.T) {
 		t.Errorf("non-matching If-None-Match: status %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestArtifactImportRefusesForgedClosedForm: a gm artifact whose matrix
+// is column-stochastic but not GM's (two cells of column 0 swapped) is
+// refused on PUT with artifact_invalid and leaves nothing installed.
+func TestArtifactImportRefusesForgedClosedForm(t *testing.T) {
+	spec := service.Spec{Kind: service.KindGeometric, N: 8, Alpha: 0.5}
+	src := service.New(service.Config{Seed: 1})
+	defer src.Close()
+	if _, err := src.Get(spec); err != nil {
+		t.Fatal(err)
+	}
+	data, err := src.ExportArtifact(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := service.DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := spec.N + 1
+	a.Probs[0], a.Probs[k] = a.Probs[k], a.Probs[0]
+
+	svc := service.New(service.Config{Seed: 2})
+	defer svc.Close()
+	ts := httptest.NewServer(NewMux(svc))
+	defer ts.Close()
+	c, err := client.New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.ImportArtifact(context.Background(), spec, a.Encode())
+	var ce *client.Error
+	if !errors.Is(err, client.ErrArtifactInvalid) || !errors.As(err, &ce) || ce.HTTPStatus != http.StatusUnprocessableEntity {
+		t.Fatalf("forged PUT: err = %v, want 422 artifact_invalid", err)
+	}
+	if _, err := svc.Peek(spec); !errors.Is(err, service.ErrNotAdmitted) {
+		t.Fatalf("Peek after refused PUT: err = %v, want ErrNotAdmitted", err)
+	}
+}
