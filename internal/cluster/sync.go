@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -187,14 +185,15 @@ func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
 	}
 	n.pulls.Add(1)
 	n.pullBytes.Add(int64(len(data)))
-	n.setETag(id, artifactETag(data))
+	n.setETag(id, service.ArtifactETag(data))
 	return nil
 }
 
 // localETag returns the content ETag of the locally held ready artifact
-// for id, or ok=false when this node does not hold it. The encode is
-// done at most once per (id, content) — the result is cached and reused
-// across peers and passes.
+// for id, or ok=false when this node does not hold it. The result is
+// cached per ID and reused across peers and passes (pruneETags drops it
+// once the ID is no longer ready), and on a miss the service computes it
+// at most once per installed mechanism.
 func (n *Node) localETag(id string) (etag string, ok bool) {
 	n.etagMu.Lock()
 	etag, ok = n.etags[id]
@@ -206,12 +205,11 @@ func (n *Node) localETag(id string) (etag string, ok bool) {
 	if err != nil {
 		return "", false
 	}
-	data, err := n.svc.ExportArtifact(spec)
+	etag, err = n.svc.ExportETag(spec)
 	if err != nil {
 		// Not ready locally (or failed): nothing to revalidate, pull it.
 		return "", false
 	}
-	etag = artifactETag(data)
 	n.setETag(id, etag)
 	return etag, true
 }
@@ -239,12 +237,4 @@ func (n *Node) pruneETags() {
 		}
 	}
 	n.etagMu.Unlock()
-}
-
-// artifactETag is the strong ETag of an encoded artifact — the same
-// derivation internal/httpapi serves, so a locally computed value
-// matches peers' If-None-Match handling byte for byte.
-func artifactETag(data []byte) string {
-	sum := sha256.Sum256(data)
-	return `"` + hex.EncodeToString(sum[:]) + `"`
 }

@@ -34,20 +34,37 @@ func Geometric(n int, alpha float64) (*Mechanism, error) {
 	}
 	x := 1 / (1 + alpha)
 	y := (1 - alpha) / (1 + alpha)
+	pw := powTable(alpha, n)
 	p := mat.NewDense(n+1, n+1)
-	for j := 0; j <= n; j++ {
-		for i := 0; i <= n; i++ {
-			switch i {
-			case 0:
-				p.Set(i, j, x*math.Pow(alpha, float64(j)))
-			case n:
-				p.Set(i, j, x*math.Pow(alpha, float64(n-j)))
-			default:
-				p.Set(i, j, y*math.Pow(alpha, float64(abs(i-j))))
+	for i := 0; i <= n; i++ {
+		row := p.RowView(i)
+		switch i {
+		case 0:
+			for j := range row {
+				row[j] = x * pw[j]
+			}
+		case n:
+			for j := range row {
+				row[j] = x * pw[n-j]
+			}
+		default:
+			for j := range row {
+				row[j] = y * pw[abs(i-j)]
 			}
 		}
 	}
 	return New("GM", n, alpha, p)
+}
+
+// powTable returns α^k for k = 0…n, each from one math.Pow call, so the
+// constructors make n+1 Pow calls instead of one per cell and multiply
+// by the same values.
+func powTable(alpha float64, n int) []float64 {
+	pw := make([]float64, n+1)
+	for k := range pw {
+		pw[k] = math.Pow(alpha, float64(k))
+	}
+	return pw
 }
 
 // GeometricL0 returns GM's closed-form rescaled L0 score 2α/(1+α)
@@ -87,24 +104,28 @@ func ExplicitFair(n int, alpha float64) (*Mechanism, error) {
 		return nil, err
 	}
 	// Normalise using column 0's exponent multiset; construction
-	// guarantees every column shares it (verified below).
+	// guarantees every column shares it (verified below). Every exponent
+	// is at most n.
+	pw := powTable(alpha, n)
 	var s0 float64
 	for i := 0; i <= n; i++ {
-		s0 += math.Pow(alpha, float64(explicitFairExponent(n, i, 0)))
+		s0 += pw[explicitFairExponent(n, i, 0)]
 	}
 	y := 1 / s0
 	p := mat.NewDense(n+1, n+1)
-	for j := 0; j <= n; j++ {
-		var colSum float64
-		for i := 0; i <= n; i++ {
-			colSum += math.Pow(alpha, float64(explicitFairExponent(n, i, j)))
+	colSums := make([]float64, n+1)
+	for i := 0; i <= n; i++ {
+		row := p.RowView(i)
+		for j := range row {
+			v := pw[explicitFairExponent(n, i, j)]
+			colSums[j] += v
+			row[j] = y * v
 		}
+	}
+	for j, colSum := range colSums {
 		if math.Abs(colSum-s0) > 1e-9*s0 {
 			return nil, fmt.Errorf("core: ExplicitFair: column %d multiset sum %g != %g: %w",
 				j, colSum, s0, ErrInvalidMechanism)
-		}
-		for i := 0; i <= n; i++ {
-			p.Set(i, j, y*math.Pow(alpha, float64(explicitFairExponent(n, i, j))))
 		}
 	}
 	return New("EM", n, alpha, p)
@@ -149,9 +170,10 @@ func Uniform(n int) (*Mechanism, error) {
 	}
 	p := mat.NewDense(n+1, n+1)
 	v := 1 / float64(n+1)
-	for j := 0; j <= n; j++ {
-		for i := 0; i <= n; i++ {
-			p.Set(i, j, v)
+	for i := 0; i <= n; i++ {
+		row := p.RowView(i)
+		for j := range row {
+			row[j] = v
 		}
 	}
 	return New("UM", n, 0, p)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"privcount/internal/rng"
@@ -11,7 +12,9 @@ import (
 // once at construction: one Vose alias table per input column, laid out
 // in one rng.AliasSlab — (n+1)² cells, column j at offset j·(n+1) — so
 // a mechanism's sampling state is two allocations, 12 bytes per cell,
-// for O(1) draws.
+// for O(1) draws. When every column is bitwise identical (UM's are),
+// the columns share one table of n+1 cells instead; the draws are the
+// same. The sampler holds only its tables, not the mechanism.
 //
 // After NewSampler returns, a Sampler is strictly read-only: no method
 // mutates its tables, so a single Sampler is safe for any number of
@@ -20,19 +23,24 @@ import (
 // serving layer (internal/service) relies on this: it builds one Sampler
 // per cached mechanism and serves all traffic from it.
 type Sampler struct {
-	m    *Mechanism
 	slab rng.AliasSlab // column j is input j's table
 }
 
-// NewSampler precomputes the alias table of every input column of m. All
-// columns are filled from one reused Vose scratch, so construction makes
-// a constant number of allocations whatever n is.
+// NewSampler precomputes the alias table of every input column of m, or
+// one shared table when all columns are bitwise identical. All columns
+// are filled from one reused Vose scratch, so construction makes a
+// constant number of allocations whatever n is.
 func NewSampler(m *Mechanism) (*Sampler, error) {
 	k := m.n + 1
-	s := &Sampler{m: m, slab: rng.NewAliasSlab(k, k)}
+	s, fill := &Sampler{}, k
+	if m.identicalColumns() {
+		s.slab, fill = rng.NewSharedAliasSlab(k, k), 1
+	} else {
+		s.slab = rng.NewAliasSlab(k, k)
+	}
 	var v rng.Vose
 	col := make([]float64, k)
-	for j := 0; j < k; j++ {
+	for j := 0; j < fill; j++ {
 		for i := range col {
 			col[i] = m.p.At(i, j)
 		}
@@ -44,12 +52,27 @@ func NewSampler(m *Mechanism) (*Sampler, error) {
 	return s, nil
 }
 
-// Bytes returns the heap footprint of the sampler's tables: 12 bytes per
-// cell of the (n+1)×(n+1) matrix, excluding the mechanism itself.
-func (s *Sampler) Bytes() int { return s.slab.Bytes() }
+// identicalColumns reports whether every column of m is bitwise equal
+// to column 0, that is, whether each row holds one value. It stops at
+// the first cell that differs, so a matrix with distinct columns costs
+// a few reads.
+func (m *Mechanism) identicalColumns() bool {
+	for i := 0; i <= m.n; i++ {
+		row := m.p.RowView(i)
+		first := math.Float64bits(row[0])
+		for _, v := range row[1:] {
+			if math.Float64bits(v) != first {
+				return false
+			}
+		}
+	}
+	return true
+}
 
-// Mechanism returns the mechanism the sampler draws from.
-func (s *Sampler) Mechanism() *Mechanism { return s.m }
+// Bytes returns the heap footprint of the sampler's tables: 12 bytes per
+// cell of the (n+1)×(n+1) matrix, or 12 bytes per output when the
+// columns share one table.
+func (s *Sampler) Bytes() int { return s.slab.Bytes() }
 
 // Sample draws one output for true count j in O(1) via the alias table.
 // It panics if j is out of range, mirroring slice indexing semantics.
@@ -106,34 +129,34 @@ func (s *Sampler) SampleBatch(src rng.Source, j, k int, dst []int) []int {
 // quantile sampling consumes exactly one uniform per output and is
 // monotone in u, which makes it the right primitive for common-random-
 // number comparisons between mechanisms. No CDF is stored: each call
-// accumulates column j of the mechanism, O(n).
-func (s *Sampler) Quantile(j int, u float64) int {
+// accumulates column j of the matrix, O(n).
+func (m *Mechanism) Quantile(j int, u float64) int {
 	var acc float64
-	for i := 0; i < s.m.n; i++ {
-		acc += s.m.p.At(i, j)
+	for i := 0; i < m.n; i++ {
+		acc += m.p.At(i, j)
 		if acc >= u {
 			return i
 		}
 	}
-	return s.m.n
+	return m.n
 }
 
 // SampleInverse draws one output for true count j by inversion of the
 // column's CDF: one uniform consumed per draw, O(n) per draw.
-func (s *Sampler) SampleInverse(src rng.Source, j int) int {
-	return s.Quantile(j, src.Float64())
+func (m *Mechanism) SampleInverse(src rng.Source, j int) int {
+	return m.Quantile(j, src.Float64())
 }
 
 // CDF returns the cumulative distribution of outputs for input j,
 // computed from the mechanism's column: CDF(j)[i] = Pr[output <= i |
 // input = j]. The last entry is exactly 1.
-func (s *Sampler) CDF(j int) []float64 {
-	out := make([]float64, s.m.n+1)
+func (m *Mechanism) CDF(j int) []float64 {
+	out := make([]float64, m.n+1)
 	var acc float64
 	for i := range out {
-		acc += s.m.p.At(i, j)
+		acc += m.p.At(i, j)
 		out[i] = acc
 	}
-	out[s.m.n] = 1
+	out[m.n] = 1
 	return out
 }

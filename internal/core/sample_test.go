@@ -39,20 +39,6 @@ func TestSamplerMatchesMatrix(t *testing.T) {
 	}
 }
 
-func TestSamplerMechanismAccessor(t *testing.T) {
-	m, err := Uniform(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSampler(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mechanism() != m {
-		t.Error("Mechanism() should return the wrapped mechanism")
-	}
-}
-
 func TestSampleManyAppends(t *testing.T) {
 	m, err := ExplicitFair(3, 0.5)
 	if err != nil {
@@ -229,18 +215,14 @@ func TestSamplerQuantileMatchesCDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSampler(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for j := 0; j <= m.N(); j++ {
-		cdf := s.CDF(j)
+		cdf := m.CDF(j)
 		if math.Abs(cdf[m.N()]-1) > 1e-12 {
 			t.Fatalf("column %d CDF does not end at 1: %v", j, cdf[m.N()])
 		}
 		// Quantile must return the smallest i with cdf[i] >= u.
 		for _, u := range []float64{0, 1e-9, 0.25, 0.5, 0.75, 0.999999} {
-			i := s.Quantile(j, u)
+			i := m.Quantile(j, u)
 			if cdf[i] < u {
 				t.Fatalf("Quantile(%d, %v) = %d but cdf[%d] = %v < u", j, u, i, i, cdf[i])
 			}
@@ -256,15 +238,11 @@ func TestSamplerInverseDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSampler(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := rng.New(7)
 	const trials = 200000
 	counts := make([]float64, m.N()+1)
 	for k := 0; k < trials; k++ {
-		counts[s.SampleInverse(src, 2)]++
+		counts[m.SampleInverse(src, 2)]++
 	}
 	for i := 0; i <= m.N(); i++ {
 		got := counts[i] / trials

@@ -67,10 +67,10 @@ func classBudget(c service.CostClass) (maxSeconds float64, maxBytes uint64) {
 }
 
 // residentAllowance is the live heap an entry of group size n may hold
-// beyond its declared per-cell tables: page rounding of the three
-// (n+1)²-cell allocations (matrix, alias probabilities, alias targets),
-// the O(n) MLE and debias vectors, and fixed bookkeeping (entry, map
-// slot, headers).
+// beyond its declared per-cell tables: page rounding of at most three
+// (n+1)²-cell allocations (an LP result's matrix, alias probabilities,
+// alias targets), the O(n) MLE and debias vectors (and UM's one shared
+// alias table), and fixed bookkeeping (entry, map slot, headers).
 func residentAllowance(n int) int64 {
 	const page = 8 << 10
 	return 3*page + 16*int64(n+1) + 16<<10

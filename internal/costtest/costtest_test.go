@@ -1,6 +1,7 @@
 package costtest
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -70,12 +71,11 @@ func TestBrokenEnvelopeFails(t *testing.T) {
 		t.Errorf("impossible SampleAllocs not reported; failures: %q", rec.failures)
 	}
 
-	// A resident declaration that leaves out one of the three tables
-	// (12 B per cell: the matrix without its alias targets, or the alias
-	// tables without the matrix): the live-heap measurement must catch
-	// it.
+	// A resident declaration that leaves out one of GM's two alias
+	// tables (8 B per cell: the probabilities without their 4-byte
+	// targets): the live-heap measurement must catch it.
 	broken = service.EnvelopeFor(service.KindGeometric)
-	broken.ResidentBytesPerCell = 12
+	broken.ResidentBytesPerCell = 8
 	rec = &recorder{TB: t}
 	CheckEnvelope(rec, spec, broken)
 	if !rec.contains("live heap bytes") {
@@ -91,7 +91,12 @@ func TestNewSamplerAllocsConstantInN(t *testing.T) {
 	// The large tables trigger GC cycles, and the runtime's own
 	// allocations during one (mark workers, for instance) only ever
 	// inflate a reading, so the minimum of a few is the constructor's.
+	// The collector is also off while measuring: whether all the few
+	// readings catch a cycle depends on the heap's pacing, which the
+	// rest of the process sets. The n=512 readings leave ~50 MB of
+	// garbage, freed when the collector is back on.
 	allocs := func(n int) float64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		m, err := core.Geometric(n, 0.5)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,6 @@
 package httpapi
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,24 +22,24 @@ import (
 // canonical artifact bytes. The ETag is the strong hash of those bytes;
 // since encoding is deterministic, two replicas serving the same
 // mechanism present the same ETag, and If-None-Match turns periodic
-// sync polls into 304s. Mechanisms never admitted answer 404
-// (not_admitted — export never triggers a build) and unsettled builds
-// 409 (not_ready).
+// sync polls into 304s. The service computes the ETag once per
+// installed mechanism, so a matching poll encodes nothing. Mechanisms
+// never admitted answer 404 (not_admitted — export never triggers a
+// build) and unsettled builds 409 (not_ready).
 func (a *api) getArtifact(w http.ResponseWriter, r *http.Request) {
 	spec, err := pathSpec(r)
 	if err != nil {
 		a.writeV2Error(w, err)
 		return
 	}
-	data, err := a.svc.ExportArtifact(spec)
+	inm := r.Header.Get("If-None-Match")
+	data, etag, err := a.svc.ExportArtifactTagged(spec, func(etag string) bool { return matchesETag(inm, etag) })
 	if err != nil {
 		a.writeV2Error(w, err)
 		return
 	}
-	sum := sha256.Sum256(data)
-	etag := `"` + hex.EncodeToString(sum[:]) + `"`
 	w.Header().Set("ETag", etag)
-	if matchesETag(r.Header.Get("If-None-Match"), etag) {
+	if data == nil {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -328,5 +329,68 @@ func TestArtifactImportRefusesForgedClosedForm(t *testing.T) {
 	}
 	if _, err := svc.Peek(spec); !errors.Is(err, service.ErrNotAdmitted) {
 		t.Fatalf("Peek after refused PUT: err = %v, want ErrNotAdmitted", err)
+	}
+}
+
+// allocBytesPerRequest serves req through h runs times and returns the
+// mean heap bytes one request allocates, with its last status.
+func allocBytesPerRequest(h http.Handler, req func() *http.Request, runs int) (uint64, int) {
+	var before, after runtime.MemStats
+	status := 0
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req())
+		status = rec.Code
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs), status
+}
+
+// TestClosedFormEntryServesWithoutMatrix: um:n=1024 holds no matrix, so
+// its status document allocates far less than one (n+1)² matrix, and a
+// conditional artifact GET whose ETag matches answers 304 without
+// encoding the artifact again.
+func TestClosedFormEntryServesWithoutMatrix(t *testing.T) {
+	spec := service.Spec{Kind: service.KindUniform, N: 1024}
+	svc := service.New(service.Config{Seed: 1})
+	defer svc.Close()
+	if _, err := svc.Get(spec); err != nil {
+		t.Fatal(err)
+	}
+	mux := NewMux(svc)
+	const matrixBytes = 8 * 1025 * 1025
+	id := spec.ID()
+
+	got, status := allocBytesPerRequest(mux, func() *http.Request {
+		return httptest.NewRequest(http.MethodGet, "/v2/mechanisms/"+id, nil)
+	}, 20)
+	if status != http.StatusOK {
+		t.Fatalf("GET mechanism status = %d", status)
+	}
+	if got > matrixBytes/100 {
+		t.Errorf("GET /v2/mechanisms/%s allocates %d bytes per request; one matrix is %d", id, got, matrixBytes)
+	}
+
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/mechanisms/"+id+"/artifact", nil))
+	etag := rec.Header().Get("ETag")
+	if rec.Code != http.StatusOK || etag == "" {
+		t.Fatalf("GET artifact = %d, ETag %q", rec.Code, etag)
+	}
+	if want := service.ArtifactETag(rec.Body.Bytes()); etag != want {
+		t.Fatalf("ETag %s is not the hash of the body (%s)", etag, want)
+	}
+	got, status = allocBytesPerRequest(mux, func() *http.Request {
+		req := httptest.NewRequest(http.MethodGet, "/v2/mechanisms/"+id+"/artifact", nil)
+		req.Header.Set("If-None-Match", etag)
+		return req
+	}, 20)
+	if status != http.StatusNotModified {
+		t.Fatalf("conditional GET status = %d, want 304", status)
+	}
+	if got > matrixBytes/100 {
+		t.Errorf("a matching conditional GET allocates %d bytes per request; the artifact is %d", got, rec.Body.Len())
 	}
 }

@@ -373,17 +373,17 @@ func statusDoc(info service.BuildInfo) client.MechanismStatus {
 	return doc
 }
 
-// mechanismInfo renders a ready entry's mechanism detail.
+// mechanismInfo renders a ready entry's mechanism detail from what the
+// entry keeps, never from its matrix, which a closed form does not hold.
 func mechanismInfo(e *service.Entry) *client.MechanismInfo {
-	m := e.Mechanism()
 	_, debiasErr := e.Debias()
 	return &client.MechanismInfo{
-		Name:       m.Name(),
-		N:          m.N(),
-		Alpha:      m.Alpha(),
+		Name:       e.Name(),
+		N:          e.Spec().N,
+		Alpha:      e.Alpha(),
 		Rule:       e.Rule(),
 		Properties: core.PropertySetString(e.Props()),
-		L0:         m.L0(),
+		L0:         e.L0(),
 		Debiasable: debiasErr == nil,
 	}
 }

@@ -121,6 +121,15 @@ func (m *Dense) Row(i int) []float64 {
 	return out
 }
 
+// RowView returns row i of m itself, not a copy: writes through it
+// change m.
+func (m *Dense) RowView(i int) []float64 {
+	if i < 0 || i >= m.rows {
+		panic(fmt.Sprintf("mat: row %d out of range for %d×%d matrix", i, m.rows, m.cols))
+	}
+	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+}
+
 // Col returns a copy of column j.
 func (m *Dense) Col(j int) []float64 {
 	if j < 0 || j >= m.cols {

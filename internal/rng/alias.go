@@ -85,21 +85,32 @@ func (v *Vose) Fill(prob []float64, alias []int32, weights []float64) error {
 }
 
 // AliasSlab is a column-major slab of alias tables with k outcomes per
-// column: column c's table is prob[c·k:(c+1)·k] and alias[c·k:(c+1)·k],
-// each filled by Vose.Fill through Column. Its draw methods share one
-// kernel; a slab is read-only while drawn from, so any number of
-// goroutines may draw from it at once, each with its own Source.
+// column: column c's table starts at offset c·stride of prob and alias,
+// and is filled by Vose.Fill through Column. The stride is k, or 0 for
+// a shared slab, whose columns are all one table. Its draw methods
+// share one kernel; a slab is read-only while drawn from, so any number
+// of goroutines may draw from it at once, each with its own Source.
 type AliasSlab struct {
-	prob  []float64
-	alias []int32
-	k     int // outcomes per column
-	cols  int
+	prob   []float64
+	alias  []int32
+	k      int // outcomes per column
+	stride int // k, or 0 when every column shares one table
+	cols   int
 }
 
 // NewAliasSlab allocates an unfilled slab of cols tables of k outcomes
 // each.
 func NewAliasSlab(k, cols int) AliasSlab {
-	return AliasSlab{prob: make([]float64, k*cols), alias: make([]int32, k*cols), k: k, cols: cols}
+	return AliasSlab{prob: make([]float64, k*cols), alias: make([]int32, k*cols), k: k, stride: k, cols: cols}
+}
+
+// NewSharedAliasSlab allocates an unfilled slab of cols columns that
+// all share one table of k outcomes, for a distribution whose columns
+// are identical. Filling any column fills them all; draws take the same
+// steps as from a per-column slab, and columns are bounds-checked
+// against cols all the same.
+func NewSharedAliasSlab(k, cols int) AliasSlab {
+	return AliasSlab{prob: make([]float64, k), alias: make([]int32, k), k: k, cols: cols}
 }
 
 // Column returns column c's table for Vose.Fill to fill. Like slice
@@ -108,12 +119,13 @@ func (s AliasSlab) Column(c int) ([]float64, []int32) {
 	if uint(c) >= uint(s.cols) {
 		panicColumn(c, s.cols)
 	}
-	off := c * s.k
+	off := c * s.stride
 	return s.prob[off : off+s.k : off+s.k], s.alias[off : off+s.k : off+s.k]
 }
 
 // Bytes returns the heap footprint of the slab's tables: 12 bytes per
-// cell.
+// stored cell, so k·cols cells for a per-column slab and k for a shared
+// one.
 func (s AliasSlab) Bytes() int { return 8*len(s.prob) + 4*len(s.alias) }
 
 // Sample draws one outcome from column c. It panics if c is out of
@@ -153,7 +165,7 @@ func (s AliasSlab) sampleInto(src Source, cols []int, c int, dst []int) {
 		s.sampleRand(r, cols, c, dst)
 		return
 	}
-	k, prob, alias := s.k, s.prob, s.alias[:len(s.prob)]
+	k, stride, prob, alias := s.k, s.stride, s.prob, s.alias[:len(s.prob)]
 	for i := range dst {
 		if cols != nil {
 			c = cols[i]
@@ -163,7 +175,7 @@ func (s AliasSlab) sampleInto(src Source, cols []int, c int, dst []int) {
 		}
 		x := src.IntN(k)
 		u := src.Float64()
-		off := c*k + x
+		off := c*stride + x
 		p, a := prob[off], int(alias[off])
 		if u < p {
 			a = x
@@ -175,7 +187,7 @@ func (s AliasSlab) sampleInto(src Source, cols []int, c int, dst []int) {
 // sampleRand is sampleInto's loop for a *Rand: the same draws, called
 // directly instead of through Source.
 func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
-	k, prob, alias := s.k, s.prob, s.alias[:len(s.prob)]
+	k, stride, prob, alias := s.k, s.stride, s.prob, s.alias[:len(s.prob)]
 	for i := range dst {
 		if cols != nil {
 			c = cols[i]
@@ -185,7 +197,7 @@ func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
 		}
 		x := int(r.uint64n(uint64(k)))
 		u := r.Float64()
-		off := c*k + x
+		off := c*stride + x
 		p, a := prob[off], int(alias[off])
 		if u < p {
 			a = x

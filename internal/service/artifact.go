@@ -1,7 +1,10 @@
 package service
 
 import (
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -135,12 +138,15 @@ func (a *Artifact) Encode() []byte {
 	info = appendArtifactString(info, a.DebiasErr)
 	b = appendArtifactSection(b, artifactSecInfo, info)
 
-	matrix := make([]byte, 0, binary.MaxVarintLen64+len(a.Probs)*8)
-	matrix = binary.AppendUvarint(matrix, uint64(a.Spec.N))
+	// The matrix section is written in place: it is most of the bytes.
+	var nb [binary.MaxVarintLen64]byte
+	nlen := binary.PutUvarint(nb[:], uint64(a.Spec.N))
+	b = binary.AppendUvarint(b, artifactSecMatrix)
+	b = binary.AppendUvarint(b, uint64(nlen+8*len(a.Probs)))
+	b = append(b, nb[:nlen]...)
 	for _, p := range a.Probs {
-		matrix = binary.LittleEndian.AppendUint64(matrix, math.Float64bits(p))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p))
 	}
-	b = appendArtifactSection(b, artifactSecMatrix, matrix)
 
 	var mle []byte
 	mle = binary.AppendUvarint(mle, uint64(len(a.MLE)))
@@ -301,15 +307,24 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 }
 
 // Instantiate turns a decoded artifact back into serving tables,
-// performing the expensive re-verification DecodeArtifact skips: the
-// matrix must be a valid column-stochastic mechanism (core.New's
-// check), and the sampler tables are rebuilt from it. A bit-rotted or
-// malformed artifact fails here with ErrArtifactInvalid. A forged one
+// performing the expensive re-verification DecodeArtifact skips. An LP
+// result's matrix must be a valid column-stochastic mechanism (core.New's
+// check), and the sampler tables are rebuilt from it. A closed form's
+// matrix, name and α must be exactly its constructor's, bit for bit, and
+// the sampler is built from the constructor's matrix. A bit-rotted or
+// malformed artifact fails here with ErrArtifactInvalid, and so does a
+// closed form whose matrix is not the constructor's. A forged LP result
 // that stays column-stochastic does not: nothing checks its matrix
-// against the α-DP ratio bounds or its claimed Props, so it installs
-// and serves (ROADMAP item 1).
+// against the α-DP ratio bounds or its claimed Props, so it installs and
+// serves (ROADMAP item 1).
 func (a *Artifact) Instantiate() (*core.Mechanism, *core.Sampler, error) {
-	m, err := core.FromProbsRowMajor(a.Name, a.Spec.N, a.Alpha, a.Probs)
+	var m *core.Mechanism
+	var err error
+	if closedForm(a.Spec) {
+		m, err = a.closedFormMechanism()
+	} else {
+		m, err = core.FromProbsRowMajor(a.Name, a.Spec.N, a.Alpha, a.Probs)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrArtifactInvalid, err)
 	}
@@ -320,6 +335,34 @@ func (a *Artifact) Instantiate() (*core.Mechanism, *core.Sampler, error) {
 	return m, sampler, nil
 }
 
+// closedFormMechanism re-derives a closed form's mechanism with its
+// constructor and returns it only if the artifact carries exactly it:
+// the same name, α and matrix bits. So an installed closed form always
+// exports the bytes it serves from.
+func (a *Artifact) closedFormMechanism() (*core.Mechanism, error) {
+	m, _, _, err := construct(context.Background(), a.Spec)
+	if err != nil {
+		return nil, err
+	}
+	if a.Name != m.Name() || math.Float64bits(a.Alpha) != math.Float64bits(m.Alpha()) {
+		return nil, fmt.Errorf("closed form %s is %s at alpha=%v, artifact claims %s at alpha=%v",
+			a.Spec.ID(), m.Name(), m.Alpha(), a.Name, a.Alpha)
+	}
+	k := a.Spec.N + 1
+	if len(a.Probs) != k*k {
+		return nil, fmt.Errorf("closed form %s: %d probabilities, want %d", a.Spec.ID(), len(a.Probs), k*k)
+	}
+	for i := 0; i < k; i++ {
+		for j, p := range a.Probs[i*k : (i+1)*k] {
+			if want := m.Prob(i, j); math.Float64bits(p) != math.Float64bits(want) {
+				return nil, fmt.Errorf("closed form %s: matrix cell (%d, %d) is %v, constructor gives %v",
+					a.Spec.ID(), i, j, p, want)
+			}
+		}
+	}
+	return m, nil
+}
+
 // result assembles the buildResult an instantiated artifact settles an
 // entry with — the exact shape runBuild produces from a live solve.
 func (a *Artifact) result() (buildResult, error) {
@@ -327,9 +370,12 @@ func (a *Artifact) result() (buildResult, error) {
 	if err != nil {
 		return buildResult{err: err}, err
 	}
-	res := buildResult{
-		mech: m, sampler: sampler,
-		mle: a.MLE, rule: a.Rule, props: a.Props,
+	res := buildResult{mech: m, tables: tables{
+		sampler: sampler, mle: a.MLE,
+		name: a.Name, rule: a.Rule, props: a.Props, alpha: a.Alpha, l0: m.L0(),
+	}}
+	if !closedForm(a.Spec) {
+		res.matrix = m
 	}
 	if a.DebiasErr != "" {
 		res.debiasErr = errors.New(a.DebiasErr)
@@ -339,25 +385,47 @@ func (a *Artifact) result() (buildResult, error) {
 	return res, nil
 }
 
-// artifactFromEntry snapshots a ready entry as its persistent form. The
-// entry's serving tables are immutable once ready, so this needs no
-// locking; the matrix is copied out.
-func artifactFromEntry(e *Entry) *Artifact {
+// newArtifact snapshots a table set and its mechanism m, matrix
+// included, as their persistent form; the matrix is copied out.
+func newArtifact(spec Spec, t tables, m *core.Mechanism) *Artifact {
 	a := &Artifact{
-		Spec:  e.spec,
-		Name:  e.mech.Name(),
-		Rule:  e.rule,
-		Props: e.props,
-		Alpha: e.mech.Alpha(),
-		Probs: e.mech.AppendProbsRowMajor(make([]float64, 0, (e.spec.N+1)*(e.spec.N+1))),
-		MLE:   e.mle,
+		Spec:  spec,
+		Name:  t.name,
+		Rule:  t.rule,
+		Props: t.props,
+		Alpha: t.alpha,
+		Probs: m.AppendProbsRowMajor(make([]float64, 0, (spec.N+1)*(spec.N+1))),
+		MLE:   t.mle,
 	}
-	if e.debiasErr != nil {
-		a.DebiasErr = e.debiasErr.Error()
+	if t.debiasErr != nil {
+		a.DebiasErr = t.debiasErr.Error()
 	} else {
-		a.Debias = e.debias
+		a.Debias = t.debias
 	}
 	return a
+}
+
+// encodeTables renders an installed table set as its canonical artifact
+// bytes. A closed form's matrix is re-derived with its constructor,
+// which an install checked it against, so the bytes are the ones the
+// tables serve.
+func encodeTables(spec Spec, t tables) ([]byte, error) {
+	m := t.matrix
+	if m == nil {
+		var err error
+		if m, _, _, err = construct(context.Background(), spec); err != nil {
+			return nil, err
+		}
+	}
+	return newArtifact(spec, t, m).Encode(), nil
+}
+
+// ArtifactETag is the strong HTTP ETag of encoded artifact bytes: the
+// quoted hex SHA-256. Encoding is deterministic, so replicas holding the
+// same mechanism present the same ETag.
+func ArtifactETag(data []byte) string {
+	sum := sha256.Sum256(data)
+	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
 func artifactSectionName(tag uint64) string {

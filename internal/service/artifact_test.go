@@ -34,7 +34,7 @@ func buildArtifact(t *testing.T, spec Spec) (*Artifact, buildResult) {
 	if res.err != nil {
 		t.Fatalf("buildMechanism(%s): %v", spec, res.err)
 	}
-	return artifactFromResult(spec, res), res
+	return newArtifact(spec, res.tables, res.mech), res
 }
 
 func TestArtifactRoundTrip(t *testing.T) {

@@ -213,3 +213,38 @@ func BenchmarkColdStartFromStore(b *testing.B) {
 		svc.Close()
 	}
 }
+
+// BenchmarkExportArtifact measures the artifact export behind GET
+// /v2/mechanisms/{id}/artifact for a closed form, gm:n=256: "full"
+// re-derives the matrix and encodes the artifact, as every unconditional
+// GET does; "not-modified" is a conditional GET whose If-None-Match
+// matches the cached ETag, which encodes nothing.
+func BenchmarkExportArtifact(b *testing.B) {
+	spec := Spec{Kind: KindGeometric, N: 256, Alpha: 0.9}
+	svc := New(Config{Seed: 1})
+	defer svc.Close()
+	if _, err := svc.Get(spec); err != nil {
+		b.Fatal(err)
+	}
+	etag, err := svc.ExportETag(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := svc.ExportArtifact(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("not-modified", func(b *testing.B) {
+		match := func(tag string) bool { return tag == etag }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if data, _, err := svc.ExportArtifactTagged(spec, match); err != nil || data != nil {
+				b.Fatalf("conditional export: %d bytes, %v", len(data), err)
+			}
+		}
+	})
+}

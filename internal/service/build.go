@@ -345,13 +345,7 @@ func (s *Service) runBuild(e *Entry) {
 			kc.failures.Add(1)
 		}
 	} else {
-		e.mech = res.mech
-		e.sampler = res.sampler
-		e.mle = res.mle
-		e.debias = res.debias
-		e.debiasErr = res.debiasErr
-		e.rule = res.rule
-		e.props = res.props
+		e.tables, e.tag = res.tables, new(artifactTag)
 		e.buildErr = nil
 		e.state.Store(int32(BuildReady))
 		if !fromStore {
@@ -387,45 +381,49 @@ func ctxCause(ctx context.Context) error {
 }
 
 // buildResult carries everything a finished construction hands back to
-// the entry.
+// the entry: the tables it installs, and the mechanism itself, matrix
+// included, for the write-behind persist.
 type buildResult struct {
-	mech      *core.Mechanism
-	sampler   *core.Sampler
-	mle       []int
-	debias    []float64
-	debiasErr error
-	rule      string
-	props     core.PropertySet
-	err       error
+	mech *core.Mechanism
+	tables
+	err error
 }
 
-// buildMechanism constructs the mechanism for spec and its serving
-// tables under ctx. Closed forms never block; the LP-backed kinds thread
-// ctx all the way into the simplex loops, so cancelling it abandons the
-// solve mid-pivot.
-func buildMechanism(ctx context.Context, spec Spec) buildResult {
-	var res buildResult
-	var m *core.Mechanism
-	var err error
+// closedForm reports whether spec's build runs no LP: forced GM, EM and
+// UM, and a choose whose Figure 5 leaf is GM or EM. construct re-derives
+// such a mechanism from its spec in O(n²), bit for bit, so its entry
+// keeps no matrix.
+func closedForm(spec Spec) bool {
+	switch spec.Kind {
+	case KindGeometric, KindExplicitFair, KindUniform:
+		return true
+	case KindChoose:
+		return !design.IsLPBacked(spec.N, spec.Alpha, spec.Props)
+	}
+	return false
+}
+
+// construct builds spec's mechanism under ctx and reports the rule that
+// selected it and the properties it guarantees. Closed forms never
+// block; the LP-backed kinds thread ctx all the way into the simplex
+// loops, so cancelling it abandons the solve mid-pivot.
+func construct(ctx context.Context, spec Spec) (m *core.Mechanism, rule string, props core.PropertySet, err error) {
 	switch spec.Kind {
 	case KindGeometric:
 		m, err = core.Geometric(spec.N, spec.Alpha)
-		res.rule = "forced GM"
-		res.props = design.GeometricProps(spec.N, spec.Alpha)
+		return m, "forced GM", design.GeometricProps(spec.N, spec.Alpha), err
 	case KindExplicitFair:
 		m, err = core.ExplicitFair(spec.N, spec.Alpha)
-		res.rule = "forced EM"
-		res.props = core.AllProperties
+		return m, "forced EM", core.AllProperties, err
 	case KindUniform:
 		m, err = core.Uniform(spec.N)
-		res.rule = "forced UM"
-		res.props = core.AllProperties
+		return m, "forced UM", core.AllProperties, err
 	case KindChoose:
-		var ch *design.Choice
-		ch, err = design.ChooseCtx(ctx, spec.N, spec.Alpha, spec.Props)
-		if err == nil {
-			m, res.rule, res.props = ch.Mechanism, ch.Rule, ch.Props
+		ch, err := design.ChooseCtx(ctx, spec.N, spec.Alpha, spec.Props)
+		if err != nil {
+			return nil, "", 0, err
 		}
+		return ch.Mechanism, ch.Rule, ch.Props, nil
 	case KindLP, KindLPMinimax:
 		p := design.Problem{
 			N: spec.N, Alpha: spec.Alpha, Props: spec.Props,
@@ -434,22 +432,34 @@ func buildMechanism(ctx context.Context, spec Spec) buildResult {
 		}
 		var r *design.Result
 		if spec.Kind == KindLPMinimax {
-			res.rule = "LP minimax design"
+			rule = "LP minimax design"
 			r, err = design.SolveMinimaxCtx(ctx, p)
 		} else {
-			res.rule = "LP design"
+			rule = "LP design"
 			r, err = design.SolveCtx(ctx, p)
 		}
-		if err == nil {
-			m = r.Mechanism
-			res.props = core.Closure(spec.Props)
+		if err != nil {
+			return nil, "", 0, err
 		}
+		return r.Mechanism, rule, core.Closure(spec.Props), nil
 	}
+	return nil, "", 0, fmt.Errorf("service: no construction for kind %v", spec.Kind)
+}
+
+// buildMechanism constructs the mechanism for spec and its serving
+// tables under ctx.
+func buildMechanism(ctx context.Context, spec Spec) buildResult {
+	var res buildResult
+	m, rule, props, err := construct(ctx, spec)
 	if err != nil {
 		res.err = err
 		return res
 	}
 	res.mech = m
+	res.tables = tables{name: m.Name(), rule: rule, props: props, alpha: m.Alpha(), l0: m.L0()}
+	if !closedForm(spec) {
+		res.matrix = m
+	}
 	if res.sampler, res.err = core.NewSampler(m); res.err != nil {
 		return res
 	}

@@ -12,8 +12,11 @@ import (
 )
 
 // Entry is one admitted mechanism with everything precomputed for
-// serving: the mechanism matrix, the per-column alias sampling tables,
-// the MLE decode table and the unbiased (debiasing) estimator.
+// serving: the alias sampling tables, the MLE decode table, the
+// unbiased (debiasing) estimator and the metadata the status document
+// reports. An LP result also keeps its matrix, which only export reads;
+// a closed form (GM, EM, UM, and a choose that lands on one) does not,
+// since export re-derives it with the constructor (see tables).
 //
 // An Entry is a small state machine (see BuildState): it is admitted in
 // BuildPending, picked up by a background worker into BuildRunning, and
@@ -40,15 +43,36 @@ type Entry struct {
 	buildErr error                   // terminal error of the last settled build
 	buildDur float64                 // wall seconds of the last settled build
 
-	// Populated by the worker before state flips to BuildReady;
-	// immutable afterwards.
-	mech      *core.Mechanism
+	// Populated by the worker (or an import) before state flips to
+	// BuildReady; immutable afterwards.
+	tables
+	tag *artifactTag // the export's ETag, computed once per tables install
+}
+
+// tables is what a ready entry serves from. An entry's tables are
+// installed as one value, by a worker or an import.
+type tables struct {
+	// matrix is the mechanism itself for an LP result, whose export
+	// reads its matrix. It is nil for a closed form, whose export
+	// re-derives the matrix with the same constructor (closedForm).
+	matrix    *core.Mechanism
 	sampler   *core.Sampler
 	mle       []int
 	debias    []float64
 	debiasErr error
+	name      string
 	rule      string
 	props     core.PropertySet
+	alpha     float64
+	l0        float64
+}
+
+// artifactTag caches the ETag of one installed table set's export: it
+// is computed, by encoding and hashing the artifact, at most once.
+type artifactTag struct {
+	once sync.Once
+	etag string
+	err  error
 }
 
 func newEntry(spec Spec) *Entry {
@@ -143,7 +167,32 @@ func (e *Entry) Info() BuildInfo {
 func (e *Entry) Spec() Spec { return e.spec }
 
 // Mechanism returns the constructed mechanism (nil unless BuildReady).
-func (e *Entry) Mechanism() *core.Mechanism { return e.mech }
+// A closed form's entry holds no matrix, so for one each call re-derives
+// the mechanism with its constructor, allocating its (n+1)² matrix; read
+// Name, Alpha and L0 where they suffice.
+func (e *Entry) Mechanism() *core.Mechanism {
+	if e.State() != BuildReady {
+		return nil
+	}
+	if e.matrix != nil {
+		return e.matrix
+	}
+	m, _, _, err := construct(context.Background(), e.spec)
+	if err != nil {
+		return nil
+	}
+	return m
+}
+
+// Name returns the mechanism's display name (e.g. "GM", "WH-LP").
+func (e *Entry) Name() string { return e.name }
+
+// Alpha returns the mechanism's design privacy parameter, 0 for UM.
+func (e *Entry) Alpha() float64 { return e.alpha }
+
+// L0 returns the mechanism's rescaled L0 score (Eq 1), as computed from
+// its matrix when it was built or imported.
+func (e *Entry) L0() float64 { return e.l0 }
 
 // Sampler returns the read-only sampler over the precomputed tables; it
 // is safe for concurrent use with per-goroutine rng.Sources.
@@ -167,15 +216,21 @@ func (e *Entry) MLE(i int) int { return e.mle[i] }
 func (e *Entry) Debias() ([]float64, error) { return e.debias, e.debiasErr }
 
 // ResidentBytes returns the heap bytes a ready entry's serving tables
-// hold: the mechanism matrix, the sampler's alias tables, and the MLE
-// and debias vectors. It is 0 unless the entry is BuildReady. Tables
-// dominate an entry's footprint: ~20 bytes per (n+1)² cell plus O(n).
+// hold: the matrix of an LP result, the sampler's alias tables, and the
+// MLE and debias vectors. It is 0 unless the entry is BuildReady. Per
+// (n+1)² cell that is ~20 bytes for an LP result, 12 for GM and EM,
+// whose matrix is not held, and none for UM, whose identical columns
+// share one alias table; each adds O(n).
 func (e *Entry) ResidentBytes() int64 {
 	if e.State() != BuildReady {
 		return 0
 	}
 	const wordBytes = bits.UintSize / 8
-	return int64(e.mech.Bytes() + e.sampler.Bytes() + wordBytes*len(e.mle) + 8*len(e.debias))
+	b := e.sampler.Bytes() + wordBytes*len(e.mle) + 8*len(e.debias)
+	if e.matrix != nil {
+		b += e.matrix.Bytes()
+	}
+	return int64(b)
 }
 
 // hitStripes is the number of independent hit counters per shard; hits

@@ -76,15 +76,25 @@ type CostEnvelope struct {
 	// The serving tables are precomputed precisely so this can be 0.
 	SampleAllocs int
 	// ResidentBytesPerCell bounds the live heap a ready entry holds per
-	// cell of its (n+1)×(n+1) matrix: the matrix itself (8 B) plus the
-	// flat alias tables (8 B probability + 4 B target). The O(n) MLE and
-	// debias vectors ride in the slack above those 20 B.
+	// cell of its (n+1)×(n+1) matrix, beyond an O(n) allowance for the
+	// MLE and debias vectors and the bookkeeping (internal/costtest's
+	// residentAllowance). See the per-kind constants below.
 	ResidentBytesPerCell int
 }
 
-// tableBytesPerCell is the resident figure every kind declares today:
-// they all serve from the same dense matrix and alias tables.
-const tableBytesPerCell = 21
+// Declared resident bytes per (n+1)² cell, by what an entry keeps.
+const (
+	// lpBytesPerCell: an LP result keeps its matrix (8 B per cell),
+	// which export reads, and per-column alias tables (8 B probability
+	// + 4 B target); 1 B of slack. Choose declares it for its LP leaves.
+	lpBytesPerCell = 21
+	// closedFormBytesPerCell: GM and EM keep only their per-column
+	// alias tables; export re-derives the matrix with the constructor.
+	closedFormBytesPerCell = 12
+	// sharedTableBytesPerCell: UM's identical columns share one alias
+	// table of n+1 cells, so it holds O(n) bytes in all.
+	sharedTableBytesPerCell = 0
+)
 
 // envelopes holds the declared envelope of every kind. The group-size
 // ceilings reference the exported Max* constants so their rationale
@@ -95,32 +105,32 @@ var envelopes = map[Kind]CostEnvelope{
 		// (to MaxLPN); its build classes declare the worst case.
 		MaxN: MaxN, LPBackedMaxN: MaxLPN,
 		BuildCPU: CostLP, BuildMem: CostLP, SampleAllocs: 0,
-		ResidentBytesPerCell: tableBytesPerCell,
+		ResidentBytesPerCell: lpBytesPerCell,
 	},
 	KindGeometric: {
 		MaxN:     MaxN,
 		BuildCPU: CostTable, BuildMem: CostTable, SampleAllocs: 0,
-		ResidentBytesPerCell: tableBytesPerCell,
+		ResidentBytesPerCell: closedFormBytesPerCell,
 	},
 	KindExplicitFair: {
 		MaxN:     MaxN,
 		BuildCPU: CostTable, BuildMem: CostTable, SampleAllocs: 0,
-		ResidentBytesPerCell: tableBytesPerCell,
+		ResidentBytesPerCell: closedFormBytesPerCell,
 	},
 	KindUniform: {
 		MaxN:     MaxN,
 		BuildCPU: CostTable, BuildMem: CostTable, SampleAllocs: 0,
-		ResidentBytesPerCell: tableBytesPerCell,
+		ResidentBytesPerCell: sharedTableBytesPerCell,
 	},
 	KindLP: {
 		MaxN: MaxLPN, LPBackedMaxN: MaxLPN,
 		BuildCPU: CostLP, BuildMem: CostLP, SampleAllocs: 0,
-		ResidentBytesPerCell: tableBytesPerCell,
+		ResidentBytesPerCell: lpBytesPerCell,
 	},
 	KindLPMinimax: {
 		MaxN: MaxLPMinimaxN, LPBackedMaxN: MaxLPMinimaxN,
 		BuildCPU: CostLPMinimax, BuildMem: CostLPMinimax, SampleAllocs: 0,
-		ResidentBytesPerCell: tableBytesPerCell,
+		ResidentBytesPerCell: lpBytesPerCell,
 	},
 }
 

@@ -116,7 +116,7 @@ func FuzzArtifactDecode(f *testing.F) {
 		if res.err != nil {
 			f.Fatalf("buildMechanism(%s): %v", spec, res.err)
 		}
-		valid := artifactFromResult(spec, res).Encode()
+		valid := newArtifact(spec, res.tables, res.mech).Encode()
 		f.Add(valid)
 		f.Add(valid[:len(valid)/2])           // truncation
 		f.Add(corruptAt(valid, len(valid)/3)) // bit rot

@@ -70,7 +70,8 @@ func TestRegisterMetricsRendersAllFamilies(t *testing.T) {
 }
 
 // TestCacheResidentBytes pins the resident figure to the table layout —
-// per (n+1)² cell an 8-byte matrix entry plus a 12-byte alias cell, and
+// closed forms hold no matrix, so GM holds a 12-byte alias cell per
+// (n+1)² cell and UM one shared 12-byte alias cell per output; each adds
 // per output an MLE word and (when the estimator exists) a debias
 // float — and the gauge to the sum over ready entries.
 func TestCacheResidentBytes(t *testing.T) {
@@ -86,7 +87,7 @@ func TestCacheResidentBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := gm.ResidentBytes(), int64(20*81+bits.UintSize/8*9+8*9); got != want {
+	if got, want := gm.ResidentBytes(), int64(12*81+bits.UintSize/8*9+8*9); got != want {
 		t.Errorf("gm n=8 resident %d bytes, want %d", got, want)
 	}
 	um, err := svc.Get(Spec{Kind: KindUniform, N: 4})
@@ -94,7 +95,7 @@ func TestCacheResidentBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// UM's matrix is singular: no debias vector.
-	if got, want := um.ResidentBytes(), int64(20*25+bits.UintSize/8*5); got != want {
+	if got, want := um.ResidentBytes(), int64(12*5+bits.UintSize/8*5); got != want {
 		t.Errorf("um n=4 resident %d bytes, want %d", got, want)
 	}
 	want := "privcount_cache_resident_bytes " + strconv.FormatInt(gm.ResidentBytes()+um.ResidentBytes(), 10) + "\n"

@@ -91,32 +91,12 @@ func (s *Service) persistAsync(spec Spec, res buildResult) {
 // counter: the mechanism is already serving from memory, and the next
 // cold start simply solves again.
 func (s *Service) persist(spec Spec, res buildResult) {
-	data := artifactFromResult(spec, res).Encode()
+	data := newArtifact(spec, res.tables, res.mech).Encode()
 	if err := s.store.backend.Put(spec.ID(), data); err != nil {
 		s.store.putFails.Add(1)
 		return
 	}
 	s.store.bytesWritten.Add(int64(len(data)))
-}
-
-// artifactFromResult snapshots a settled buildResult as its persistent
-// form; res's tables are immutable once the build settles.
-func artifactFromResult(spec Spec, res buildResult) *Artifact {
-	a := &Artifact{
-		Spec:  spec,
-		Name:  res.mech.Name(),
-		Rule:  res.rule,
-		Props: res.props,
-		Alpha: res.mech.Alpha(),
-		Probs: res.mech.AppendProbsRowMajor(make([]float64, 0, (spec.N+1)*(spec.N+1))),
-		MLE:   res.mle,
-	}
-	if res.debiasErr != nil {
-		a.DebiasErr = res.debiasErr.Error()
-	} else {
-		a.Debias = res.debias
-	}
-	return a
 }
 
 // ExportArtifact encodes the built mechanism for spec in its canonical
@@ -125,21 +105,55 @@ func artifactFromResult(spec Spec, res buildResult) *Artifact {
 // triggers a build), pending or in-flight builds ErrNotReady, and
 // failed builds their build error.
 func (s *Service) ExportArtifact(spec Spec) ([]byte, error) {
+	data, _, err := s.ExportArtifactTagged(spec, nil)
+	return data, err
+}
+
+// ExportETag returns the ETag of spec's canonical artifact (see
+// ArtifactETag) with the errors of ExportArtifact. It is computed at
+// most once per installed table set, so a repeat call encodes nothing.
+func (s *Service) ExportETag(spec Spec) (string, error) {
+	_, etag, err := s.ExportArtifactTagged(spec, func(string) bool { return true })
+	return etag, err
+}
+
+// ExportArtifactTagged returns spec's canonical artifact and its ETag,
+// both from one installed table set, with the errors of ExportArtifact.
+// The ETag is computed at most once per installed table set. When
+// notModified reports true for it, nothing is encoded and data is nil:
+// a conditional GET that matches answers without encoding.
+func (s *Service) ExportArtifactTagged(spec Spec, notModified func(etag string) bool) (data []byte, etag string, err error) {
 	e, err := s.Peek(spec)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	switch e.State() {
+	e.mu.Lock()
+	state, berr, t, tag := BuildState(e.state.Load()), e.buildErr, e.tables, e.tag
+	e.mu.Unlock()
+	switch state {
 	case BuildReady:
-		return artifactFromEntry(e).Encode(), nil
 	case BuildFailed:
-		e.mu.Lock()
-		berr := e.buildErr
-		e.mu.Unlock()
-		return nil, buildError(e.spec, berr)
+		return nil, "", buildError(e.spec, berr)
 	default:
-		return nil, fmt.Errorf("%w: %s is still building", ErrNotReady, e.spec.ID())
+		return nil, "", fmt.Errorf("%w: %s is still building", ErrNotReady, e.spec.ID())
 	}
+	tag.once.Do(func() {
+		if data, tag.err = encodeTables(e.spec, t); tag.err == nil {
+			tag.etag = ArtifactETag(data)
+		}
+	})
+	if tag.err != nil {
+		return nil, "", tag.err
+	}
+	if notModified != nil && notModified(tag.etag) {
+		return nil, tag.etag, nil
+	}
+	if data == nil {
+		if data, err = encodeTables(e.spec, t); err != nil {
+			return nil, "", err
+		}
+	}
+	return data, tag.etag, nil
 }
 
 // ImportArtifact installs a pre-built mechanism from its encoded
@@ -197,13 +211,7 @@ func (s *Service) ImportArtifact(spec Spec, data []byte) (BuildInfo, error) {
 		done := e.done
 		e.done = nil
 		e.queued = false
-		e.mech = res.mech
-		e.sampler = res.sampler
-		e.mle = res.mle
-		e.debias = res.debias
-		e.debiasErr = res.debiasErr
-		e.rule = res.rule
-		e.props = res.props
+		e.tables, e.tag = res.tables, new(artifactTag)
 		e.buildErr = nil
 		e.state.Store(int32(BuildReady))
 		if done != nil {

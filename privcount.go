@@ -61,8 +61,8 @@ import (
 
 // Mechanism is a randomized mechanism for count queries over {0..n}: a
 // column-stochastic (n+1)×(n+1) probability matrix. See the core
-// methods: Prob, SatisfiesDP, L0, Check, Sample (via Sampler), and the
-// estimator helpers.
+// methods: Prob, SatisfiesDP, L0, Check, Quantile and CDF (inverse-CDF
+// draws), Sample (via Sampler), and the estimator helpers.
 type Mechanism = core.Mechanism
 
 // Matrix is the dense matrix type underlying mechanisms.
@@ -270,7 +270,9 @@ func GeometricL0(alpha float64) float64 { return core.GeometricL0(alpha) }
 // ExplicitFairL0 is EM's closed-form rescaled L0 score (n+1)(1−y)/n.
 func ExplicitFairL0(n int, alpha float64) float64 { return core.ExplicitFairL0(n, alpha) }
 
-// Sampler draws mechanism outputs in O(1) per draw via alias tables.
+// Sampler draws mechanism outputs in O(1) per draw via alias tables. It
+// holds only the tables; inverse-CDF sampling (Quantile, CDF,
+// SampleInverse) is on the Mechanism.
 type Sampler = core.Sampler
 
 // NewSampler prepares a sampler for the mechanism.
