@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -551,5 +552,53 @@ func TestExportArtifactInvalidSpec(t *testing.T) {
 	}
 	if _, err := svc.ImportArtifact(Spec{Kind: Kind(250), N: 4}, nil); !errors.Is(err, ErrSpecInvalid) {
 		t.Fatalf("import: got %v, want ErrSpecInvalid", err)
+	}
+}
+
+// TestImportOverReadyRacesNoReader: re-importing a ready entry's own
+// export while another goroutine samples it is race-free (the test is
+// meaningful under -race) and every draw stays in range. An install
+// publishes the whole serving state at once, so a reader sees one
+// install or the next, never a mix.
+func TestImportOverReadyRacesNoReader(t *testing.T) {
+	spec := Spec{Kind: KindGeometric, N: 16, Alpha: 0.5}
+	svc := New(Config{Seed: 1})
+	defer svc.Close()
+	if _, err := svc.Get(spec); err != nil {
+		t.Fatal(err)
+	}
+	art, err := svc.ExportArtifact(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(errs)
+		for j := 0; ; j = (j + 1) % (spec.N + 1) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			out, err := svc.Sample(spec, j)
+			if err == nil && (out < 0 || out > spec.N) {
+				err = fmt.Errorf("sampled %d outside [0, %d]", out, spec.N)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := svc.ImportArtifact(spec, art); err != nil {
+			close(stop)
+			t.Fatalf("import %d: %v", i, err)
+		}
+	}
+	close(stop)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
 	}
 }
