@@ -205,6 +205,11 @@ type MechanismStatus struct {
 	Error *Error `json:"error,omitempty"`
 	// Mechanism is populated once State is "ready".
 	Mechanism *MechanismInfo `json:"mechanism,omitempty"`
+	// ETag is the quoted sha256 of the mechanism's canonical artifact,
+	// the same value as the ETag header of GET …/{id}/artifact. Only
+	// GET /v2/mechanisms sets it, on ready entries, so a warm-sync peer
+	// can compare replicas without fetching each artifact.
+	ETag string `json:"etag,omitempty"`
 }
 
 // Ready reports whether the mechanism is built and serving.
@@ -246,7 +251,7 @@ type ClusterStatus struct {
 	// SyncPulls counts artifacts imported from peers, SyncBytes their
 	// total size, SyncConflicts diverging peer copies (local kept),
 	// SyncRejects pulled artifacts failing verification, SyncErrors
-	// HTTP-level sync failures.
+	// peers whose poll or pulls failed in a pass.
 	SyncPulls     int64 `json:"sync_pulls"`
 	SyncBytes     int64 `json:"sync_bytes"`
 	SyncConflicts int64 `json:"sync_conflicts"`

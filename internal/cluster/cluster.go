@@ -105,20 +105,19 @@ type Node struct {
 
 	pulls     atomic.Int64 // artifacts imported from peers
 	pullBytes atomic.Int64 // artifact bytes pulled
-	conflicts atomic.Int64 // peer artifacts diverging from a local ready copy
+	conflicts atomic.Int64 // listed peer ETags diverging from a local copy
 	rejects   atomic.Int64 // pulled artifacts that failed verification
-	syncErrs  atomic.Int64 // peer polls or pulls that errored (network, HTTP)
+	syncErrs  atomic.Int64 // peers whose poll or pulls errored in a pass
 	syncs     atomic.Int64 // completed sync passes
 	lastSync  atomic.Int64 // unix nanos of the last completed pass
 
-	// etags caches the canonical artifact ETag of locally held ready
-	// mechanisms, so a sync pass turns into conditional GETs instead of
-	// re-encoding the artifact per peer per poll. Keyed by Spec ID;
-	// entries are content hashes of deterministic encodings, so they
-	// never go stale — at worst an evicted ID leaves a dead entry until
-	// pruned against the current mechanism list each pass.
+	// etags caches the canonical artifact ETag of each local copy this
+	// node owns — a ready cache entry or a stored artifact — so a sync
+	// pass compares it with the peers' listed ETags without re-encoding
+	// or re-reading anything. Keyed by Spec ID; pruned each pass against
+	// the ready entries and the store's IDs.
 	etagMu sync.Mutex
-	etags  map[string]string
+	etags  map[string]heldTag
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -153,7 +152,7 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 	n := &Node{
 		svc:   svc,
 		cfg:   cfg,
-		etags: make(map[string]string),
+		etags: make(map[string]heldTag),
 		done:  make(chan struct{}),
 	}
 	if err := n.refreshRing(); err != nil {
@@ -296,10 +295,11 @@ type Status struct {
 	SyncPasses int64
 	LastSync   time.Time
 	// SyncPulls counts artifacts imported from peers; SyncBytes their
-	// total encoded size; SyncConflicts peer artifacts whose ETag
-	// diverged from a local ready copy (kept local, counted);
-	// SyncRejects pulled artifacts that failed decode or verification;
-	// SyncErrors peer polls or pulls that failed at the HTTP layer.
+	// total encoded size; SyncConflicts listed peer ETags that diverged
+	// from a local copy (kept local, counted); SyncRejects pulled
+	// artifacts that failed decode or verification; SyncErrors peers
+	// whose poll or pulls failed in a pass — at the HTTP layer, or by
+	// listing a locally held ID ready without its ETag.
 	SyncPulls, SyncBytes, SyncConflicts, SyncRejects, SyncErrors int64
 	// OwnedMechanisms is how many locally cached mechanisms this node
 	// owns or replicates under the current ring; CachedMechanisms is
@@ -362,13 +362,13 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		"Artifact bytes pulled from peers by the warm-sync agent.",
 		func() float64 { return float64(n.pullBytes.Load()) })
 	reg.NewCounterFunc("privcount_cluster_sync_conflicts_total",
-		"Peer artifacts whose ETag diverged from a local ready copy (local kept).",
+		"Listed peer artifact ETags that diverged from a local copy (local kept).",
 		func() float64 { return float64(n.conflicts.Load()) })
 	reg.NewCounterFunc("privcount_cluster_sync_rejects_total",
 		"Pulled artifacts that failed decode or re-verification.",
 		func() float64 { return float64(n.rejects.Load()) })
 	reg.NewCounterFunc("privcount_cluster_sync_errors_total",
-		"Peer polls or artifact pulls that failed at the HTTP layer.",
+		"Peers whose list poll or artifact pulls failed in a sync pass.",
 		func() float64 { return float64(n.syncErrs.Load()) })
 	reg.NewCounterFunc("privcount_cluster_sync_passes_total",
 		"Completed warm-sync passes over the peer set.",

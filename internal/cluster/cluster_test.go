@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,15 +31,20 @@ import (
 type testNode struct {
 	url    string
 	svc    *service.Service
+	store  *service.MemStore
 	node   *cluster.Node
 	server *httptest.Server
 }
+
+// fleetOption adjusts node i's service and cluster configuration before
+// the node starts.
+type fleetOption func(i int, sc *service.Config, cc *cluster.Config)
 
 // startFleet brings up n nodes with the given replication factor and
 // route mode, every node backed by its own MemStore. Listeners are
 // created first so the full peer URL set is known before any ring is
 // built.
-func startFleet(t *testing.T, n, replication int, mode cluster.RouteMode) []*testNode {
+func startFleet(t testing.TB, n, replication int, mode cluster.RouteMode, opts ...fleetOption) []*testNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Peer, n)
@@ -52,14 +58,20 @@ func startFleet(t *testing.T, n, replication int, mode cluster.RouteMode) []*tes
 	}
 	fleet := make([]*testNode, n)
 	for i := range fleet {
-		svc := service.New(service.Config{Capacity: 64, Store: service.NewMemStore()})
-		node, err := cluster.New(svc, cluster.Config{
+		store := service.NewMemStore()
+		sc := service.Config{Capacity: 64, Store: store}
+		cc := cluster.Config{
 			Self:         peers[i].URL,
 			Membership:   cluster.Static(peers),
 			Replication:  replication,
 			PollInterval: time.Hour, // tests drive SyncNow explicitly
 			RouteMode:    mode,
-		})
+		}
+		for _, opt := range opts {
+			opt(i, &sc, &cc)
+		}
+		svc := service.New(sc)
+		node, err := cluster.New(svc, cc)
 		if err != nil {
 			t.Fatalf("cluster.New: %v", err)
 		}
@@ -67,7 +79,7 @@ func startFleet(t *testing.T, n, replication int, mode cluster.RouteMode) []*tes
 		srv.Listener.Close()
 		srv.Listener = listeners[i]
 		srv.Start()
-		fleet[i] = &testNode{url: peers[i].URL, svc: svc, node: node, server: srv}
+		fleet[i] = &testNode{url: peers[i].URL, svc: svc, store: store, node: node, server: srv}
 		t.Cleanup(func() {
 			srv.Close()
 			node.Close()
@@ -93,7 +105,7 @@ func acceptanceSpec(t *testing.T) service.Spec {
 // TestClusterWarmSyncServesWithoutBuilds is the headline acceptance
 // flow: a mechanism built on node A is served by nodes B and C after
 // one sync pass, with zero solver invocations on either — and a second
-// pass moves no bytes (the conditional GETs all come back 304).
+// pass moves no bytes (the listed ETags all match the local copies).
 func TestClusterWarmSyncServesWithoutBuilds(t *testing.T) {
 	fleet := startFleet(t, 3, 3, cluster.RouteProxy) // R=3: everyone replicates everything
 	spec := acceptanceSpec(t)
@@ -149,8 +161,8 @@ func TestClusterWarmSyncServesWithoutBuilds(t *testing.T) {
 		}
 	}
 
-	// Second pass: everyone already holds the artifact, so the
-	// conditional GETs must all answer 304 — pulls and bytes freeze.
+	// Second pass: everyone already holds the artifact and the peers'
+	// listed ETags match it — pulls and bytes freeze.
 	b := fleet[1]
 	before := b.node.Status()
 	if err := b.node.SyncNow(ctx); err != nil {
@@ -216,6 +228,9 @@ func TestClusterRestartResync(t *testing.T) {
 	}
 	if st := svc2.Stats(); st.Builds != 0 {
 		t.Fatalf("restarted node solved instead of syncing: %d builds", st.Builds)
+	}
+	if st := node2.Status(); st.SyncPulls != 1 {
+		t.Fatalf("restarted node on an empty store pulled %d artifacts, want 1", st.SyncPulls)
 	}
 }
 
@@ -615,48 +630,77 @@ func TestNodeReplicationClamped(t *testing.T) {
 	}
 }
 
-// TestClusterSyncCountsConflicts: a peer whose artifact bytes diverge
-// from a local *ready* copy is a conflict, not a pull — the local
-// mechanism is kept (deterministic encoding makes honest replicas
-// byte-identical, so divergence is a real signal) and the counter
-// records it for operators.
-func TestClusterSyncCountsConflicts(t *testing.T) {
-	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
-	id := spec.ID()
-
-	// A peer that lists the same mechanism ready but serves different
-	// bytes, ignoring If-None-Match (a diverged or corrupted replica).
-	diverged := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v2/mechanisms":
-			json.NewEncoder(w).Encode(map[string]any{
-				"mechanisms": []map[string]any{{"id": id, "state": "ready"}},
-			})
-		case "/v2/mechanisms/" + id + "/artifact":
-			w.Header().Set("ETag", `"deadbeef"`)
-			w.Write([]byte("divergent bytes"))
-		default:
+// listingPeer is a fake peer whose GET /v2/mechanisms lists id ready
+// with the given artifact ETag ("" lists none). It answers any other
+// request 404 and counts it in *other.
+func listingPeer(t *testing.T, id, etag string, other *atomic.Int64) *httptest.Server {
+	t.Helper()
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v2/mechanisms" {
+			other.Add(1)
 			http.NotFound(w, r)
+			return
 		}
+		doc := map[string]any{"id": id, "state": "ready"}
+		if etag != "" {
+			doc["etag"] = etag
+		}
+		json.NewEncoder(w).Encode(map[string]any{"mechanisms": []map[string]any{doc}})
 	}))
-	defer diverged.Close()
+	t.Cleanup(peer.Close)
+	return peer
+}
 
-	svc := service.New(service.Config{Capacity: 8})
-	defer svc.Close()
-	if _, err := svc.Get(spec); err != nil { // local ready copy first
+// readyService returns a service built from cfg that holds spec ready.
+func readyService(t *testing.T, spec service.Spec, cfg service.Config) *service.Service {
+	t.Helper()
+	svc := service.New(cfg)
+	t.Cleanup(svc.Close)
+	if _, err := svc.Get(spec); err != nil {
 		t.Fatal(err)
 	}
+	return svc
+}
+
+// nodeWithPeer returns a node over svc on a two-peer ring with peerURL,
+// so the node replicates everything.
+func nodeWithPeer(t *testing.T, svc *service.Service, peerURL string) *cluster.Node {
+	t.Helper()
 	self := "http://127.0.0.1:1" // never dialed: sync skips self
 	node, err := cluster.New(svc, cluster.Config{
 		Self:         self,
-		Membership:   cluster.Static([]cluster.Peer{{URL: self}, {URL: diverged.URL}}),
+		Membership:   cluster.Static([]cluster.Peer{{URL: self}, {URL: peerURL}}),
 		Replication:  2,
 		PollInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer node.Close()
+	t.Cleanup(node.Close)
+	return node
+}
+
+// trueETag returns the ETag of spec's artifact as an honest peer lists it.
+func trueETag(t *testing.T, spec service.Spec) string {
+	t.Helper()
+	etag, err := readyService(t, spec, service.Config{}).ExportETag(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return etag
+}
+
+// TestClusterSyncCountsConflicts: a peer whose listed artifact ETag
+// diverges from a local *ready* copy is a conflict, not a pull — the
+// local mechanism is kept (deterministic encoding makes honest replicas
+// byte-identical, so divergence is a real signal), the counter records
+// it for operators, and no artifact is requested.
+func TestClusterSyncCountsConflicts(t *testing.T) {
+	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
+	var other atomic.Int64
+	diverged := listingPeer(t, spec.ID(), `"deadbeef"`, &other)
+	svc := readyService(t, spec, service.Config{Capacity: 8})
+	node := nodeWithPeer(t, svc, diverged.URL)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -681,6 +725,103 @@ func TestClusterSyncCountsConflicts(t *testing.T) {
 	}
 	if st := node.Status(); st.SyncConflicts != 2 || st.SyncPulls != 0 {
 		t.Fatalf("after second pass: conflicts=%d pulls=%d, want 2, 0", st.SyncConflicts, st.SyncPulls)
+	}
+	if n := other.Load(); n != 0 {
+		t.Fatalf("sync sent %d requests besides the list, want 0", n)
+	}
+}
+
+// TestClusterSyncAgreeingETag: a peer listing the local copy's own ETag
+// is agreement — no conflict, no pull, no request besides the list.
+func TestClusterSyncAgreeingETag(t *testing.T) {
+	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
+	var other atomic.Int64
+	agreeing := listingPeer(t, spec.ID(), trueETag(t, spec), &other)
+	node := nodeWithPeer(t, readyService(t, spec, service.Config{Capacity: 8}), agreeing.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := node.SyncNow(ctx); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	st := node.Status()
+	if st.SyncConflicts != 0 || st.SyncPulls != 0 || st.SyncErrors != 0 {
+		t.Fatalf("conflicts=%d pulls=%d errors=%d, want 0, 0, 0", st.SyncConflicts, st.SyncPulls, st.SyncErrors)
+	}
+	if n := other.Load(); n != 0 {
+		t.Fatalf("sync sent %d requests besides the list, want 0", n)
+	}
+}
+
+// TestClusterSyncHeldWithoutETag: a peer listing a mechanism this node
+// holds as ready but with no ETag cannot be compared. That is a counted
+// sync error on every pass, not a silent skip; nothing is pulled and
+// the local copy stays ready.
+func TestClusterSyncHeldWithoutETag(t *testing.T) {
+	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
+	var other atomic.Int64
+	bare := listingPeer(t, spec.ID(), "", &other)
+	svc := readyService(t, spec, service.Config{Capacity: 8})
+	node := nodeWithPeer(t, svc, bare.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for pass := 1; pass <= 2; pass++ {
+		if err := node.SyncNow(ctx); err == nil {
+			t.Fatalf("pass %d: SyncNow succeeded against a peer listing no etag", pass)
+		}
+		st := node.Status()
+		if st.SyncErrors != int64(pass) || st.SyncConflicts != 0 || st.SyncPulls != 0 {
+			t.Fatalf("pass %d: errors=%d conflicts=%d pulls=%d, want %d, 0, 0",
+				pass, st.SyncErrors, st.SyncConflicts, st.SyncPulls, pass)
+		}
+	}
+	if n := other.Load(); n != 0 {
+		t.Fatalf("sync sent %d requests besides the list, want 0", n)
+	}
+	if e, err := svc.Peek(spec); err != nil || e.State() != service.BuildReady {
+		t.Fatalf("local mechanism: %v, %v; want still ready", e, err)
+	}
+}
+
+// TestClusterSyncComparesRebuiltCopy: a corrupt artifact in the store
+// counts as a held copy, so a peer listing the true ETag is a conflict
+// and nothing is pulled. Once a query quarantines the stored copy and
+// rebuilds it, the next pass compares the rebuilt install, which agrees.
+func TestClusterSyncComparesRebuiltCopy(t *testing.T) {
+	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
+	var other atomic.Int64
+	peer := listingPeer(t, spec.ID(), trueETag(t, spec), &other)
+	store := service.NewMemStore()
+	if err := store.Put(spec.ID(), []byte("corrupt artifact")); err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Capacity: 8, Store: store})
+	defer svc.Close()
+	node := nodeWithPeer(t, svc, peer.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := node.SyncNow(ctx); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	if st := node.Status(); st.SyncConflicts != 1 || st.SyncPulls != 0 {
+		t.Fatalf("corrupt stored copy: conflicts=%d pulls=%d, want 1, 0", st.SyncConflicts, st.SyncPulls)
+	}
+	if _, err := svc.Get(spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.StoreQuarantines != 1 || st.Builds != 1 {
+		t.Fatalf("stats %+v, want the stored copy quarantined and rebuilt", st)
+	}
+	if err := node.SyncNow(ctx); err != nil {
+		t.Fatalf("second SyncNow: %v", err)
+	}
+	if st := node.Status(); st.SyncConflicts != 1 || st.SyncPulls != 0 {
+		t.Fatalf("after rebuild: conflicts=%d pulls=%d, want still 1, 0", st.SyncConflicts, st.SyncPulls)
+	}
+	if n := other.Load(); n != 0 {
+		t.Fatalf("sync sent %d requests besides the list, want 0", n)
 	}
 }
 

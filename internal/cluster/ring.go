@@ -10,10 +10,10 @@
 //     for building it and R-1 peers holding warm copies;
 //
 //   - a warm-sync agent (Node.Start / Node.SyncNow) that polls peers'
-//     mechanism lists and artifact ETags and pulls — with conditional
-//     GETs — only the artifacts this node owns or replicates and does
-//     not already hold, importing them through the service's existing
-//     decode→verify→install path;
+//     mechanism lists, which carry each ready artifact's ETag, and pulls
+//     only the artifacts this node owns or replicates and holds neither
+//     in its cache nor in its store, importing them through the
+//     service's existing decode→verify→install path;
 //
 //   - request-routing support (Node.Owner, RouteMode) that
 //     internal/httpapi uses to proxy or redirect requests for

@@ -21,13 +21,14 @@ import (
 const maxSyncArtifactBytes = int64(service.MaxArtifactBytes)
 
 // peerList is the slice of GET /v2/mechanisms the sync agent needs:
-// IDs and states. Decoding into client.MechanismList would work too,
-// but this keeps the cluster package's wire coupling to the two fields
-// the protocol actually reads.
+// IDs, states and artifact ETags. Decoding into client.MechanismList
+// would work too, but this keeps the cluster package's wire coupling to
+// the three fields the protocol actually reads.
 type peerList struct {
 	Mechanisms []struct {
 		ID    string `json:"id"`
 		State string `json:"state"`
+		ETag  string `json:"etag"`
 	} `json:"mechanisms"`
 }
 
@@ -42,15 +43,17 @@ func (n *Node) syncOnce() {
 }
 
 // SyncNow runs one warm-sync pass synchronously: refresh the ring from
-// the membership, then for every peer pull the mechanism list and
-// import each ready artifact this node owns or replicates and does not
-// already hold. Locally held copies are revalidated with a conditional
-// GET (If-None-Match on the artifact's content ETag): a 304 confirms
-// the replicas agree, a 200 with a different ETag is counted as a
-// conflict and the local copy is kept — artifacts are content-addressed
-// and every build, LP solves included, is a function of its spec alone,
-// so a conflict signals peer divergence worth alerting on, not data to
-// merge.
+// the membership, then for every peer fetch the mechanism list and
+// compare each ready ID this node owns or replicates with the local
+// copy, by the artifact ETag the list carries. A copy is local when the
+// cache holds it ready or the store holds it: an evicted replica stays
+// a replica and reloads from the store on its next query. Equal ETags
+// are agreement and send nothing; an ID held nowhere locally is pulled;
+// a different ETag is counted as a conflict and the local copy is kept
+// — artifacts are content-addressed and every build, LP solves
+// included, is a function of its spec alone, so a conflict signals
+// peer divergence worth alerting on, not data to merge. A converged
+// pass is therefore one list request per peer.
 //
 // The returned error aggregates per-peer failures; a partially failed
 // pass still imports everything reachable. Tests drive this directly;
@@ -62,6 +65,7 @@ func (n *Node) SyncNow(ctx context.Context) error {
 		n.syncErrs.Add(1)
 		return fmt.Errorf("cluster: membership refresh: %w", err)
 	}
+	n.pruneETags()
 	var errs []error
 	for _, p := range n.ring.Load().Peers() {
 		if p.URL == n.cfg.Self {
@@ -73,14 +77,13 @@ func (n *Node) SyncNow(ctx context.Context) error {
 			errs = append(errs, fmt.Errorf("peer %s: %w", p.URL, err))
 		}
 	}
-	n.pruneETags()
 	n.syncs.Add(1)
 	n.lastSync.Store(time.Now().UnixNano())
 	return errors.Join(errs...)
 }
 
-// syncPeer pulls one peer's mechanism list and imports what this node
-// is missing.
+// syncPeer fetches one peer's mechanism list, pulls what this node
+// owns and holds nowhere, and counts conflicts with what it holds.
 func (n *Node) syncPeer(ctx context.Context, peerURL string) error {
 	list, err := n.fetchList(ctx, peerURL)
 	if err != nil {
@@ -91,8 +94,21 @@ func (n *Node) syncPeer(ctx context.Context, peerURL string) error {
 		if m.State != "ready" || !n.Owns(m.ID) {
 			continue
 		}
-		if err := n.pullArtifact(ctx, peerURL, m.ID); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", m.ID, err))
+		local, held := n.localETag(m.ID)
+		switch {
+		case !held:
+			if err := n.pullArtifact(ctx, peerURL, m.ID); err != nil {
+				errs = append(errs, fmt.Errorf("%s: %w", m.ID, err))
+			}
+		case m.ETag == "":
+			// Nothing to compare the local copy with: an error, so a
+			// peer that stops listing ETags is seen, not skipped.
+			errs = append(errs, fmt.Errorf("%s: listed ready without an etag", m.ID))
+		case m.ETag != local:
+			// Deterministic encoding makes equal mechanisms byte-equal,
+			// so this is real divergence; keep the local copy, count it.
+			n.conflicts.Add(1)
+			n.cfg.Logf("cluster: %s: peer %s holds a diverging artifact %s (local %s kept)", m.ID, peerURL, m.ETag, local)
 		}
 	}
 	return errors.Join(errs...)
@@ -122,18 +138,14 @@ func (n *Node) fetchList(ctx context.Context, peerURL string) (*peerList, error)
 	return &list, nil
 }
 
-// pullArtifact fetches one artifact from a peer, conditionally when a
-// local copy exists, and imports it through the service's
-// decode→verify→install path.
+// pullArtifact fetches one artifact this node does not hold from a
+// peer and imports it through the service's decode→verify→install
+// path.
 func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
-	local, haveLocal := n.localETag(id)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		peerURL+"/v2/mechanisms/"+id+"/artifact", nil)
 	if err != nil {
 		return err
-	}
-	if haveLocal {
-		req.Header.Set("If-None-Match", local)
 	}
 	resp, err := n.cfg.HTTPClient.Do(req)
 	if err != nil {
@@ -141,10 +153,6 @@ func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
-	case http.StatusNotModified:
-		// Replica agreement confirmed for free — no body travelled.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
 	case http.StatusOK:
 	case http.StatusNotFound, http.StatusConflict, http.StatusGone:
 		// The entry moved on between the list and the pull (evicted,
@@ -154,15 +162,6 @@ func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("artifact: unexpected status %d", resp.StatusCode)
-	}
-	if haveLocal {
-		// 200 against If-None-Match means the peer's bytes differ from
-		// ours. Deterministic encoding makes equal mechanisms byte-equal,
-		// so this is real divergence; keep the local copy, count it.
-		n.conflicts.Add(1)
-		n.cfg.Logf("cluster: %s: peer %s holds a diverging artifact (local %s kept)", id, peerURL, local)
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSyncArtifactBytes+1))
 	if err != nil {
@@ -185,44 +184,57 @@ func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
 	}
 	n.pulls.Add(1)
 	n.pullBytes.Add(int64(len(data)))
-	n.setETag(id, service.ArtifactETag(data))
+	n.setETag(id, heldTag{etag: service.ArtifactETag(data)})
 	return nil
 }
 
-// localETag returns the content ETag of the locally held ready artifact
-// for id, or ok=false when this node does not hold it. The result is
-// cached per ID and reused across peers and passes (pruneETags drops it
-// once the ID is no longer ready), and on a miss the service computes it
-// at most once per installed mechanism.
+// heldTag is the ETag of a local copy and where it was read: from the
+// ready cache entry's install, or from the bytes in the store.
+type heldTag struct {
+	etag   string
+	stored bool
+}
+
+// localETag returns the content ETag of the local copy of id — the
+// ready cache entry's, else the stored artifact's — or ok=false when
+// this node holds neither. The result is cached per ID and reused
+// across peers and passes (pruneETags drops it once the copy is gone),
+// so each ETag is computed, or its stored bytes read, once.
 func (n *Node) localETag(id string) (etag string, ok bool) {
 	n.etagMu.Lock()
-	etag, ok = n.etags[id]
+	h, ok := n.etags[id]
 	n.etagMu.Unlock()
 	if ok {
-		return etag, true
+		return h.etag, true
 	}
 	spec, err := service.ParseSpec(id)
 	if err != nil {
 		return "", false
 	}
-	etag, err = n.svc.ExportETag(spec)
-	if err != nil {
-		// Not ready locally (or failed): nothing to revalidate, pull it.
-		return "", false
+	if h.etag, err = n.svc.ExportETag(spec); err != nil {
+		// Not ready in the cache: an evicted replica's durable copy
+		// may still be in the store.
+		if h.etag, err = n.svc.StoredETag(spec); err != nil {
+			return "", false
+		}
+		h.stored = true
 	}
-	n.setETag(id, etag)
-	return etag, true
+	n.setETag(id, h)
+	return h.etag, true
 }
 
-func (n *Node) setETag(id, etag string) {
+func (n *Node) setETag(id string, h heldTag) {
 	n.etagMu.Lock()
-	n.etags[id] = etag
+	n.etags[id] = h
 	n.etagMu.Unlock()
 }
 
-// pruneETags drops cached ETags for IDs no longer ready locally, so an
-// eviction or supersede is re-observed instead of served from a stale
-// cache entry.
+// pruneETags runs at the start of a pass. It drops cached ETags for IDs
+// this node no longer holds — neither ready in the cache nor in the
+// store — so an eviction or a quarantine is re-observed. A tag read
+// from the store is also dropped once the ID is ready in the cache, so
+// the pass compares the install that serves it (a quarantined stored
+// copy's rebuild, say).
 func (n *Node) pruneETags() {
 	ready := make(map[string]bool)
 	for _, info := range n.svc.Entries() {
@@ -230,9 +242,17 @@ func (n *Node) pruneETags() {
 			ready[info.Spec.ID()] = true
 		}
 	}
+	ids, err := n.svc.StoredIDs()
+	if err != nil {
+		n.cfg.Logf("cluster: list store: %v", err)
+	}
+	stored := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		stored[id] = true
+	}
 	n.etagMu.Lock()
-	for id := range n.etags {
-		if !ready[id] {
+	for id, h := range n.etags {
+		if ready[id] && h.stored || !ready[id] && !stored[id] {
 			delete(n.etags, id)
 		}
 	}

@@ -21,9 +21,9 @@ import (
 // getArtifact exports the built mechanism named by {id} as its
 // canonical artifact bytes. The ETag is the strong hash of those bytes;
 // since encoding is deterministic, two replicas serving the same
-// mechanism present the same ETag, and If-None-Match turns periodic
-// sync polls into 304s. The service computes the ETag once per
-// installed mechanism, so a matching poll encodes nothing. Mechanisms
+// mechanism present the same ETag (the one GET /v2/mechanisms lists),
+// and a matching If-None-Match answers 304. The service computes the
+// ETag once per install, so a matching request encodes nothing. Mechanisms
 // never admitted answer 404 (not_admitted — export never triggers a
 // build) and unsettled builds 409 (not_ready).
 func (a *api) getArtifact(w http.ResponseWriter, r *http.Request) {

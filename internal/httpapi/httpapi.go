@@ -459,11 +459,16 @@ func (a *api) getMechanism(w http.ResponseWriter, r *http.Request) {
 }
 
 // listMechanisms lists every cached mechanism's status, sorted by ID.
+// A ready entry carries its artifact's ETag, computed at most once per
+// install; an entry evicted since the snapshot is listed without one.
 func (a *api) listMechanisms(w http.ResponseWriter, _ *http.Request) {
 	infos := a.svc.Entries()
 	docs := make([]client.MechanismStatus, len(infos))
 	for i, info := range infos {
 		docs[i] = statusDoc(info)
+		if info.State == service.BuildReady {
+			docs[i].ETag, _ = a.svc.ExportETag(info.Spec)
+		}
 	}
 	writeJSON(w, http.StatusOK, client.MechanismList{Mechanisms: docs})
 }

@@ -327,16 +327,8 @@ func (s *Service) runBuild(e *Entry) {
 
 	e.mu.Lock()
 	e.buildDur = dur.Seconds()
-	e.queued = false
-	if e.cancel != nil {
-		e.cancel(nil) // release the context's resources
-		e.cancel, e.ctx = nil, nil
-	}
-	done := e.done
-	e.done = nil
 	if res.err != nil {
-		e.buildErr = res.err
-		e.state.Store(int32(BuildFailed))
+		e.failLocked(res.err)
 		if rebuildable(res.err) {
 			s.build.cancels.Add(1)
 			kc.cancels.Add(1)
@@ -345,18 +337,13 @@ func (s *Service) runBuild(e *Entry) {
 			kc.failures.Add(1)
 		}
 	} else {
-		e.tables, e.tag = res.tables, new(artifactTag)
-		e.buildErr = nil
-		e.state.Store(int32(BuildReady))
+		e.installLocked(res.tables)
 		if !fromStore {
 			// Store loads are not builds: Stats.Builds counts solves, so
 			// a warm restart can assert the solver never ran.
 			s.build.builds.Add(1)
 			kc.builds.Add(1)
 		}
-	}
-	if done != nil {
-		close(done)
 	}
 	e.mu.Unlock()
 	if res.err == nil && !fromStore {

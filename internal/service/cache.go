@@ -20,11 +20,12 @@ import (
 //
 // An Entry is a small state machine (see BuildState): it is admitted in
 // BuildPending, picked up by a background worker into BuildRunning, and
-// settles in BuildReady or BuildFailed. The serving tables are written
-// exactly once, by the worker, before the state word flips to
-// BuildReady; after that flip they are immutable, so a ready Entry may
-// be shared by any number of goroutines with no locking beyond the
-// single atomic state load.
+// settles in BuildReady or BuildFailed. The serving tables are published
+// by installLocked as one immutable value behind an atomic pointer,
+// before the state word flips to BuildReady. A later import may publish
+// a new value over a ready entry; a reader loads the pointer once per
+// op and so serves from one install or the next, never a mix, with no
+// locking beyond the atomic loads.
 type Entry struct {
 	spec  Spec
 	clock atomic.Int64 // last-touch stamp for LRU eviction
@@ -43,10 +44,16 @@ type Entry struct {
 	buildErr error                   // terminal error of the last settled build
 	buildDur float64                 // wall seconds of the last settled build
 
-	// Populated by the worker (or an import) before state flips to
-	// BuildReady; immutable afterwards.
+	// serving is the current install: nil until the first one, then
+	// replaced whole by each later one (see installLocked).
+	serving atomic.Pointer[install]
+}
+
+// install is one published serving state: the tables and the ETag of
+// their export, which belongs to this install alone.
+type install struct {
 	tables
-	tag *artifactTag // the export's ETag, computed once per tables install
+	tag artifactTag
 }
 
 // tables is what a ready entry serves from. An entry's tables are
@@ -67,8 +74,8 @@ type tables struct {
 	l0        float64
 }
 
-// artifactTag caches the ETag of one installed table set's export: it
-// is computed, by encoding and hashing the artifact, at most once.
+// artifactTag caches the ETag of one install's export: it is computed,
+// by encoding and hashing the artifact, at most once.
 type artifactTag struct {
 	once sync.Once
 	etag string
@@ -109,6 +116,25 @@ func (e *Entry) failLocked(cause error) {
 	}
 	if e.cancel != nil {
 		e.cancel(cause)
+		e.cancel, e.ctx = nil, nil
+	}
+}
+
+// installLocked publishes t as the entry's serving state and settles the
+// current generation ready. It is the one install path: a solve and a
+// store load (the worker) and a PUT or sync import (ImportArtifact) all
+// land here. Caller holds e.mu and has settled any running build.
+func (e *Entry) installLocked(t tables) {
+	e.serving.Store(&install{tables: t})
+	e.buildErr = nil
+	e.queued = false
+	e.state.Store(int32(BuildReady))
+	if e.done != nil {
+		close(e.done)
+		e.done = nil
+	}
+	if e.cancel != nil {
+		e.cancel(nil)
 		e.cancel, e.ctx = nil, nil
 	}
 }
@@ -166,6 +192,19 @@ func (e *Entry) Info() BuildInfo {
 // Spec returns the canonical spec the entry was admitted under.
 func (e *Entry) Spec() Spec { return e.spec }
 
+// current returns the tables of the entry's current install, or empty
+// tables before the first. Load it once per op: two calls may straddle
+// an import and return two installs.
+func (e *Entry) current() *tables {
+	if in := e.serving.Load(); in != nil {
+		return &in.tables
+	}
+	return &noTables
+}
+
+// noTables is what an entry with no install reads: all zero.
+var noTables tables
+
 // Mechanism returns the constructed mechanism (nil unless BuildReady).
 // A closed form's entry holds no matrix, so for one each call re-derives
 // the mechanism with its constructor, allocating its (n+1)² matrix; read
@@ -174,8 +213,8 @@ func (e *Entry) Mechanism() *core.Mechanism {
 	if e.State() != BuildReady {
 		return nil
 	}
-	if e.matrix != nil {
-		return e.matrix
+	if m := e.current().matrix; m != nil {
+		return m
 	}
 	m, _, _, err := construct(context.Background(), e.spec)
 	if err != nil {
@@ -185,35 +224,38 @@ func (e *Entry) Mechanism() *core.Mechanism {
 }
 
 // Name returns the mechanism's display name (e.g. "GM", "WH-LP").
-func (e *Entry) Name() string { return e.name }
+func (e *Entry) Name() string { return e.current().name }
 
 // Alpha returns the mechanism's design privacy parameter, 0 for UM.
-func (e *Entry) Alpha() float64 { return e.alpha }
+func (e *Entry) Alpha() float64 { return e.current().alpha }
 
 // L0 returns the mechanism's rescaled L0 score (Eq 1), as computed from
 // its matrix when it was built or imported.
-func (e *Entry) L0() float64 { return e.l0 }
+func (e *Entry) L0() float64 { return e.current().l0 }
 
 // Sampler returns the read-only sampler over the precomputed tables; it
 // is safe for concurrent use with per-goroutine rng.Sources.
-func (e *Entry) Sampler() *core.Sampler { return e.sampler }
+func (e *Entry) Sampler() *core.Sampler { return e.current().sampler }
 
 // Rule describes how the mechanism was selected (for KindChoose, the
 // Figure 5 flowchart path).
-func (e *Entry) Rule() string { return e.rule }
+func (e *Entry) Rule() string { return e.current().rule }
 
 // Props is the closed set of §IV-A properties the served mechanism
 // guarantees — possibly a strict superset of the request.
-func (e *Entry) Props() core.PropertySet { return e.props }
+func (e *Entry) Props() core.PropertySet { return e.current().props }
 
 // MLE decodes an observed output to its maximum-likelihood input via the
 // precomputed table. It panics if i is out of range.
-func (e *Entry) MLE(i int) int { return e.mle[i] }
+func (e *Entry) MLE(i int) int { return e.current().mle[i] }
 
 // Debias returns the precomputed unbiased-estimator coefficients a with
 // E[a[output] | input=j] = j, or an error for mechanisms without one
 // (UM's matrix is singular).
-func (e *Entry) Debias() ([]float64, error) { return e.debias, e.debiasErr }
+func (e *Entry) Debias() ([]float64, error) {
+	t := e.current()
+	return t.debias, t.debiasErr
+}
 
 // ResidentBytes returns the heap bytes a ready entry's serving tables
 // hold: the matrix of an LP result, the sampler's alias tables, and the
@@ -225,10 +267,11 @@ func (e *Entry) ResidentBytes() int64 {
 	if e.State() != BuildReady {
 		return 0
 	}
+	t := e.current()
 	const wordBytes = bits.UintSize / 8
-	b := e.sampler.Bytes() + wordBytes*len(e.mle) + 8*len(e.debias)
-	if e.matrix != nil {
-		b += e.matrix.Bytes()
+	b := t.sampler.Bytes() + wordBytes*len(t.mle) + 8*len(t.debias)
+	if t.matrix != nil {
+		b += t.matrix.Bytes()
 	}
 	return int64(b)
 }

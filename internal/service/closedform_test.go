@@ -140,7 +140,7 @@ func TestClosedFormExportsUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.matrix != nil {
+			if e.current().matrix != nil {
 				t.Errorf("%s %s: entry holds its matrix", gen, pin.id)
 			}
 			data, etag, err := svc.ExportArtifactTagged(spec, nil)

@@ -289,7 +289,7 @@ func (s *Service) SampleCtx(ctx context.Context, spec Spec, j int) (int, error) 
 		sh.pool.Put(r)
 		return 0, fmt.Errorf("service: count %d out of range [0, %d]", j, e.spec.N)
 	}
-	out := e.sampler.Sample(r, j)
+	out := e.current().sampler.Sample(r, j)
 	sh.pool.Put(r)
 	return out, nil
 }
@@ -319,7 +319,7 @@ func (s *Service) SampleBatchCtx(ctx context.Context, spec Spec, js []int, dst [
 		sh.pool.Put(r)
 		return nil, err
 	}
-	dst = e.sampler.SampleMany(r, js, dst)
+	dst = e.current().sampler.SampleMany(r, js, dst)
 	sh.pool.Put(r)
 	return dst, nil
 }
@@ -356,7 +356,7 @@ func (s *Service) SampleBatchIntoCtx(ctx context.Context, spec Spec, js, dst []i
 		sh.pool.Put(r)
 		return err
 	}
-	e.sampler.SampleManyInto(r, js, dst)
+	e.current().sampler.SampleManyInto(r, js, dst)
 	sh.pool.Put(r)
 	return nil
 }
@@ -376,7 +376,7 @@ func (s *Service) SampleBatchSeededInto(ctx context.Context, spec Spec, seed uin
 	if err := checkCounts(js, e.spec.N); err != nil {
 		return err
 	}
-	e.sampler.SampleManyInto(rng.New(seed), js, dst)
+	e.current().sampler.SampleManyInto(rng.New(seed), js, dst)
 	return nil
 }
 
@@ -398,7 +398,7 @@ func (s *Service) SampleBatchSeededCtx(ctx context.Context, spec Spec, seed uint
 	if err := checkCounts(js, e.spec.N); err != nil {
 		return nil, err
 	}
-	return e.sampler.SampleMany(rng.New(seed), js, dst), nil
+	return e.current().sampler.SampleMany(rng.New(seed), js, dst), nil
 }
 
 // Estimate is the result of decoding a batch of observed noisy releases.
@@ -432,13 +432,12 @@ func (s *Service) EstimateCtx(ctx context.Context, spec Spec, outputs []int) (*E
 	if err := checkCounts(outputs, e.spec.N); err != nil {
 		return nil, err
 	}
-	est := &Estimate{MLE: make([]int, len(outputs))}
-	debias, debiasErr := e.Debias()
-	est.Unbiased = debiasErr == nil
+	t := e.current()
+	est := &Estimate{MLE: make([]int, len(outputs)), Unbiased: t.debiasErr == nil}
 	for k, o := range outputs {
-		est.MLE[k] = e.MLE(o)
+		est.MLE[k] = t.mle[o]
 		if est.Unbiased {
-			est.Sum += debias[o]
+			est.Sum += t.debias[o]
 		} else {
 			est.Sum += float64(est.MLE[k])
 		}

@@ -128,7 +128,7 @@ func (s *Service) ExportArtifactTagged(spec Spec, notModified func(etag string) 
 		return nil, "", err
 	}
 	e.mu.Lock()
-	state, berr, t, tag := BuildState(e.state.Load()), e.buildErr, e.tables, e.tag
+	state, berr, in := BuildState(e.state.Load()), e.buildErr, e.serving.Load()
 	e.mu.Unlock()
 	switch state {
 	case BuildReady:
@@ -137,6 +137,7 @@ func (s *Service) ExportArtifactTagged(spec Spec, notModified func(etag string) 
 	default:
 		return nil, "", fmt.Errorf("%w: %s is still building", ErrNotReady, e.spec.ID())
 	}
+	t, tag := in.tables, &in.tag
 	tag.once.Do(func() {
 		if data, tag.err = encodeTables(e.spec, t); tag.err == nil {
 			tag.etag = ArtifactETag(data)
@@ -154,6 +155,32 @@ func (s *Service) ExportArtifactTagged(spec Spec, notModified func(etag string) 
 		}
 	}
 	return data, tag.etag, nil
+}
+
+// StoredIDs lists the Spec IDs the configured store holds, in
+// unspecified order; it is nil when no store is configured.
+func (s *Service) StoredIDs() ([]string, error) {
+	if s.store.backend == nil {
+		return nil, nil
+	}
+	return s.store.backend.List()
+}
+
+// StoredETag returns the ETag of the artifact the store holds for spec,
+// or an error wrapping ErrArtifactNotFound when it holds none. The
+// store holds canonical encodings, so this is the ETag the entry's
+// export carries once the artifact is loaded. It reads the bytes but
+// neither decodes nor verifies them: a bad artifact is found, and
+// quarantined, when a build loads it.
+func (s *Service) StoredETag(spec Spec) (string, error) {
+	if s.store.backend == nil {
+		return "", ErrArtifactNotFound
+	}
+	data, err := s.store.backend.Get(spec.ID())
+	if err != nil {
+		return "", err
+	}
+	return ArtifactETag(data), nil
 }
 
 // ImportArtifact installs a pre-built mechanism from its encoded
@@ -204,19 +231,7 @@ func (s *Service) ImportArtifact(spec Spec, data []byte) (BuildInfo, error) {
 		// Pending (queued or not), failed, or already ready: install. A
 		// queued entry left in the channel is harmless — runBuild skips
 		// anything no longer pending.
-		if e.cancel != nil {
-			e.cancel(nil)
-			e.cancel, e.ctx = nil, nil
-		}
-		done := e.done
-		e.done = nil
-		e.queued = false
-		e.tables, e.tag = res.tables, new(artifactTag)
-		e.buildErr = nil
-		e.state.Store(int32(BuildReady))
-		if done != nil {
-			close(done)
-		}
+		e.installLocked(res.tables)
 		e.mu.Unlock()
 		break
 	}
