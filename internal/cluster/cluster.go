@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strings"
@@ -50,8 +51,8 @@ func ParseRouteMode(s string) (RouteMode, error) {
 }
 
 // RoutedHeader is the loop-prevention header: a request carrying it has
-// already been routed once (by a peer proxy, a redirect, or a per-op
-// forward) and must be served locally regardless of ring ownership.
+// already been routed once (by a peer proxy, a redirect, or a query
+// hop) and must be served locally regardless of ring ownership.
 // Without it, two nodes with momentarily divergent rings could bounce a
 // request between each other forever.
 const RoutedHeader = "X-Privcount-Routed"
@@ -249,13 +250,24 @@ func (n *Node) Owner(id string) (ownerURL string, self bool) {
 	return p.URL, p.URL == n.cfg.Self
 }
 
-// Start launches the background warm-sync loop: one pass immediately,
-// then one per PollInterval until Close. Safe to skip entirely (tests
-// drive SyncNow directly).
+// Start launches the background warm-sync loop: a first pass after a
+// random half to whole PollInterval, then one per PollInterval until
+// Close. The delay lets daemons of a fleet started together all listen
+// before any polls the others (a pass at once would count each peer
+// not yet up as a sync error), and the jitter keeps the nodes' passes
+// out of phase. Safe to skip entirely (tests drive SyncNow directly).
 func (n *Node) Start() {
+	first := n.cfg.PollInterval/2 + rand.N(n.cfg.PollInterval/2+1)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		wait := time.NewTimer(first)
+		select {
+		case <-n.done:
+			wait.Stop()
+			return
+		case <-wait.C:
+		}
 		t := time.NewTicker(n.cfg.PollInterval)
 		defer t.Stop()
 		for {

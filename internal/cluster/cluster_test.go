@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -287,7 +286,7 @@ func TestClusterProxyRouting(t *testing.T) {
 		t.Fatalf("Status via non-owner = %q, want ready", st.State)
 	}
 
-	// A query op lands on the non-owner, gets forwarded per-op, and the
+	// A query op lands on the non-owner, goes to the owner in one hop, and the
 	// non-owner still never builds.
 	out, err := nc.SampleBatch(ctx, spec, []int{1, 2, 3})
 	if err != nil {
@@ -531,8 +530,8 @@ func TestClusterProxyLoopPrevention(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsExposition: the privcount_cluster_* series appear
-// on /metrics with live values.
+// TestClusterMetricsExposition: the privcount_cluster_* and
+// privcount_forward_* series appear on /metrics with live values.
 func TestClusterMetricsExposition(t *testing.T) {
 	fleet := startFleet(t, 3, 3, cluster.RouteProxy)
 	spec := service.Spec{Kind: service.KindGeometric, N: 8, Alpha: 0.5}
@@ -553,21 +552,16 @@ func TestClusterMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(fleet[1].url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	body := scrape(t, fleet[1].url)
 	for _, want := range []string{
 		"privcount_cluster_sync_pulls_total 1",
 		"privcount_cluster_ring_size 3",
 		"privcount_cluster_owned_mechanisms 1",
 		"privcount_cluster_sync_passes_total 1",
+		// R=3: every node owns everything, so nothing is forwarded.
+		"privcount_forward_hops_total 0",
+		"privcount_forwarded_ops_total 0",
+		"privcount_forward_fallbacks_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

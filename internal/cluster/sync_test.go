@@ -2,20 +2,25 @@ package cluster_test
 
 import (
 	"context"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"privcount/internal/cluster"
+	"privcount/internal/httpapi"
+	"privcount/internal/metrics"
 	"privcount/internal/service"
 )
 
 // requestCounter is an http.RoundTripper that counts the peer requests
-// a sync agent sends, split into list GETs and artifact GETs.
+// a node sends, split into list GETs, artifact GETs and forwarded query
+// POSTs.
 type requestCounter struct {
-	lists, artifacts, other atomic.Int64
+	lists, artifacts, queries, other atomic.Int64
 }
 
 func (c *requestCounter) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -24,6 +29,8 @@ func (c *requestCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 		c.lists.Add(1)
 	case r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/artifact"):
 		c.artifacts.Add(1)
+	case r.Method == http.MethodPost && r.URL.Path == "/v2/query":
+		c.queries.Add(1)
 	default:
 		c.other.Add(1)
 	}
@@ -31,7 +38,7 @@ func (c *requestCounter) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 func (c *requestCounter) total() int64 {
-	return c.lists.Load() + c.artifacts.Load() + c.other.Load()
+	return c.lists.Load() + c.artifacts.Load() + c.queries.Load() + c.other.Load()
 }
 
 // countRequests gives every node an HTTP client whose transport is the
@@ -228,5 +235,83 @@ func BenchmarkSyncPassConverged(b *testing.B) {
 	b.ReportMetric(float64(c.total()-start)/float64(b.N), "requests/pass")
 	if st := node.Status(); st.SyncPulls != int64(len(specs)) {
 		b.Fatalf("pulls = %d, want %d", st.SyncPulls, len(specs))
+	}
+}
+
+// TestClusterStartedTogetherCountsNoSyncErrors: three nodes whose sync
+// loops start before any of them listens converge with no sync error,
+// and a peer that dies afterwards is still counted by the survivors.
+func TestClusterStartedTogetherCountsNoSyncErrors(t *testing.T) {
+	const poll = 600 * time.Millisecond
+	addrs := make([]string, 3)
+	peers := make([]cluster.Peer, len(addrs))
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		addrs[i] = l.Addr().String()
+		peers[i] = cluster.Peer{URL: "http://" + addrs[i]}
+		l.Close() // nothing listens until every node has started
+	}
+	nodes := make([]*cluster.Node, len(addrs))
+	muxes := make([]http.Handler, len(addrs))
+	for i := range nodes {
+		svc := service.New(service.Config{Capacity: 8})
+		t.Cleanup(svc.Close)
+		node, err := cluster.New(svc, cluster.Config{
+			Self: peers[i].URL, Membership: cluster.Static(peers), Replication: 3, PollInterval: poll,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		node.Start()
+		nodes[i] = node
+		muxes[i] = httpapi.NewMuxWithCluster(svc, metrics.NewRegistry(), node)
+	}
+	// Daemons started together still come up over some milliseconds.
+	time.Sleep(50 * time.Millisecond)
+	servers := make([]*httptest.Server, len(addrs))
+	for i, addr := range addrs {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("listen again on %s: %v", addr, err)
+		}
+		srv := httptest.NewUnstartedServer(muxes[i])
+		srv.Listener.Close()
+		srv.Listener = l
+		srv.Start()
+		t.Cleanup(srv.Close)
+		servers[i] = srv
+	}
+
+	// waitPasses waits until node has completed at least k passes.
+	waitPasses := func(node *cluster.Node, k int64) cluster.Status {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			st := node.Status()
+			if st.SyncPasses >= k {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s completed %d sync passes, want %d", st.Self, st.SyncPasses, k)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for _, node := range nodes {
+		if st := waitPasses(node, 2); st.SyncErrors != 0 {
+			t.Errorf("%s counted %d sync errors on a healthy fleet, want 0", st.Self, st.SyncErrors)
+		}
+	}
+
+	servers[2].Close()
+	nodes[2].Close()
+	for _, node := range nodes[:2] {
+		if st := waitPasses(node, node.Status().SyncPasses+2); st.SyncErrors == 0 {
+			t.Errorf("%s counted no sync error after a peer died", st.Self)
+		}
 	}
 }

@@ -4,7 +4,9 @@
 // replicates the ID (or already holds the mechanism warm); anything
 // else is sent to the ring owner, either by proxying the request over
 // the node's peer HTTP client or by answering 307 + Location per the
-// node's route mode. Routed requests carry cluster.RoutedHeader, and a
+// node's route mode. A buffered POST /v2/query applies the same rule
+// per op and sends each owner its ops in one hop (forwardHop), whatever
+// the route mode. Routed requests carry cluster.RoutedHeader, and a
 // request arriving with that header is always served locally — two
 // nodes with momentarily divergent rings can therefore disagree about
 // ownership without bouncing a request between each other.
@@ -126,61 +128,87 @@ func (a *api) writeProxyError(w http.ResponseWriter, owner string, err error) {
 	writeJSON(w, e.HTTPStatus, client.Envelope{Error: e})
 }
 
-// forwardOpTimeout bounds one forwarded query op independently of the
+// forwardHopTimeout bounds one forwarded hop independently of the
 // enclosing request: the local fallback needs time left on the clock.
-const forwardOpTimeout = 30 * time.Second
+const forwardHopTimeout = 30 * time.Second
 
-// forwardOp sends one query op to the ring owner of its mechanism when
-// this node neither owns nor holds it, returning ok=false whenever
-// local execution should proceed instead — the op targets an owned or
-// warm mechanism, this node is the owner, or the forward failed
-// (availability beats strict build-once: the local solver is always a
-// correct fallback).
-func (a *api) forwardOp(ctx context.Context, op client.Op) (client.OpResult, bool) {
-	var spec service.Spec
-	if err := spec.UnmarshalText([]byte(op.ID)); err != nil {
-		return client.OpResult{}, false
-	}
+// forwardOwner returns the ring owner of a mechanism this node neither
+// owns nor holds ready, and ok=false when the op should run here.
+func (a *api) forwardOwner(spec service.Spec) (owner string, ok bool) {
 	id := spec.ID()
-	if a.node.Owns(id) || a.readyLocally(spec) {
-		return client.OpResult{}, false
+	if a.node.Owns(id) {
+		return "", false
 	}
 	owner, self := a.node.Owner(id)
-	if self {
-		return client.OpResult{}, false
+	return owner, !self
+}
+
+// forwardGroup is the ops of one query batch bound for one owner: their
+// indices in the batch, in batch order.
+type forwardGroup struct {
+	owner string
+	idx   []int
+}
+
+// addToGroup appends op i to owner's group, starting the group on the
+// owner's first op. A fleet has few peers, so the scan is short.
+func addToGroup(groups []forwardGroup, owner string, i int) []forwardGroup {
+	for k := range groups {
+		if groups[k].owner == owner {
+			groups[k].idx = append(groups[k].idx, i)
+			return groups
+		}
 	}
-	body, err := json.Marshal(client.QueryRequest{Ops: []client.Op{op}})
+	return append(groups, forwardGroup{owner: owner, idx: []int{i}})
+}
+
+// forwardHop sends g's ops to their owner as one routed POST
+// /v2/query and scatters the answers into results by index. It returns
+// false, having written no result, when the hop fails — transport
+// error, non-200 status, wrong result count or undecodable body — and
+// the group should run locally.
+func (a *api) forwardHop(ctx context.Context, g forwardGroup, ops []client.Op, results []client.OpResult) bool {
+	group := make([]client.Op, len(g.idx))
+	for k, i := range g.idx {
+		group[k] = ops[i]
+	}
+	body, err := json.Marshal(client.QueryRequest{Ops: group})
 	if err != nil {
-		return client.OpResult{}, false
+		return false
 	}
-	ctx, cancel := context.WithTimeout(ctx, forwardOpTimeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardHopTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/v2/query", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, g.owner+"/v2/query", bytes.NewReader(body))
 	if err != nil {
-		return client.OpResult{}, false
+		return false
 	}
 	req.Header.Set("Content-Type", client.ContentTypeJSON)
 	req.Header.Set(cluster.RoutedHeader, a.node.Self())
+	a.forwardHops.Inc()
+	a.forwardedOps.Add(float64(len(group)))
 	resp, err := a.node.Client().Do(req)
 	if err != nil {
-		return client.OpResult{}, false
+		return false
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return client.OpResult{}, false
+		return false
 	}
 	var qr client.QueryResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&qr); err != nil || len(qr.Results) != 1 {
-		return client.OpResult{}, false
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&qr); err != nil || len(qr.Results) != len(group) {
+		return false
 	}
-	if e := qr.Results[0].Error; e != nil {
-		// The owner answered with a taxonomy error — that is the result
-		// (it counted the code on its side; count it here too, since this
-		// node's response carries it).
-		a.countError(e)
+	for k, i := range g.idx {
+		if e := qr.Results[k].Error; e != nil {
+			// The owner answered with a taxonomy error — that is the
+			// result (it counted the code on its side; count it here
+			// too, since this node's response carries it).
+			a.countError(e)
+		}
+		results[i] = qr.Results[k]
 	}
-	return qr.Results[0], true
+	return true
 }
 
 // getCluster serves GET /v2/cluster: the node's ring membership, sync

@@ -6,10 +6,12 @@ package httpapi
 // restart convergence, hostile peers — lives in internal/cluster; these
 // tests pin the routing middleware's own behaviour from the handler
 // package's side: proxy relay, redirect answers, dead-owner 502s,
-// per-op forwarding with local fallback, and the /v2/cluster document.
+// per-owner query forwarding with local fallback, and the /v2/cluster
+// document.
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -26,9 +28,15 @@ import (
 // clusterPair boots a two-node fleet with replication 1, so every ID
 // has exactly one owner and the other node must route.
 func clusterPair(t *testing.T, mode cluster.RouteMode) (a, b *httptest.Server, nodeA, nodeB *cluster.Node) {
+	servers, nodes := clusterFleet(t, 2, mode)
+	return servers[0], servers[1], nodes[0], nodes[1]
+}
+
+// clusterFleet boots an n-node fleet with replication 1.
+func clusterFleet(t *testing.T, n int, mode cluster.RouteMode) ([]*httptest.Server, []*cluster.Node) {
 	t.Helper()
-	listeners := make([]net.Listener, 2)
-	peers := make([]cluster.Peer, 2)
+	listeners := make([]net.Listener, n)
+	peers := make([]cluster.Peer, n)
 	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -37,8 +45,8 @@ func clusterPair(t *testing.T, mode cluster.RouteMode) (a, b *httptest.Server, n
 		listeners[i] = l
 		peers[i] = cluster.Peer{URL: "http://" + l.Addr().String()}
 	}
-	servers := make([]*httptest.Server, 2)
-	nodes := make([]*cluster.Node, 2)
+	servers := make([]*httptest.Server, n)
+	nodes := make([]*cluster.Node, n)
 	for i := range servers {
 		svc := service.New(service.Config{Capacity: 32, Seed: uint64(i) + 1})
 		node, err := cluster.New(svc, cluster.Config{
@@ -61,14 +69,14 @@ func clusterPair(t *testing.T, mode cluster.RouteMode) (a, b *httptest.Server, n
 		servers[i] = srv
 		nodes[i] = node
 	}
-	return servers[0], servers[1], nodes[0], nodes[1]
+	return servers, nodes
 }
 
 // idOwnedBy scans cheap geometric specs for one whose ring owner is
 // (or is not, per want) the given node.
 func idOwnedBy(t *testing.T, node *cluster.Node, want bool) string {
 	t.Helper()
-	for n := 4; n <= 4096; n *= 2 {
+	for n := 4; n <= 4096; n++ {
 		spec := service.Spec{Kind: service.KindGeometric, N: n, Alpha: 0.5}
 		if node.Owns(spec.ID()) == want {
 			return spec.ID()
@@ -164,38 +172,72 @@ func TestRoutedDeadOwnerIs502(t *testing.T) {
 	}
 }
 
-// TestQueryForwardsOpsAndFallsBack pins the per-op forwarding path: a
-// query op for a non-owned mechanism executes on the owner, and if the
-// owner is dead the op falls back to a local solve instead of failing.
+// TestQueryForwardsOpsAndFallsBack pins the forwarding path: query ops
+// for non-owned mechanisms execute on their owners, one hop per owner,
+// and when one owner is dead only its group falls back to a local solve
+// instead of failing.
 func TestQueryForwardsOpsAndFallsBack(t *testing.T) {
-	a, b, nodeA, nodeB := clusterPair(t, cluster.RouteProxy)
-	id := idOwnedBy(t, nodeA, false)
-	ca, err := client.New(a.URL)
+	servers, nodes := clusterFleet(t, 3, cluster.RouteProxy)
+	idB, idC := idOwnedBy(t, nodes[1], true), idOwnedBy(t, nodes[2], true)
+	ca, err := client.New(servers[0].URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := t.Context()
-	var spec service.Spec
-	if err := spec.UnmarshalText([]byte(id)); err != nil {
-		t.Fatal(err)
+	ops := []client.Op{
+		{Op: client.OpSample, ID: idB, Count: 2}, {Op: client.OpSample, ID: idC, Count: 1},
+		{Op: client.OpSample, ID: idB, Count: 3}, {Op: client.OpSample, ID: idC, Count: 0},
 	}
-	if _, err := ca.Sample(ctx, spec, 2); err != nil {
-		t.Fatalf("forwarded sample: %v", err)
+	query := func() {
+		t.Helper()
+		res, err := ca.Query(ctx, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Error != nil {
+				t.Fatalf("op %d: %v", i, r.Err())
+			}
+		}
 	}
-	if st := nodeA.Status(); st.CachedMechanisms != 0 {
-		t.Errorf("forwarding node cached %d mechanisms, want 0", st.CachedMechanisms)
-	}
-	if st := nodeB.Status(); st.CachedMechanisms != 1 {
-		t.Errorf("owner cached %d mechanisms, want 1", st.CachedMechanisms)
+	query()
+	for i, want := range []int{0, 1, 1} {
+		if st := nodes[i].Status(); st.CachedMechanisms != want {
+			t.Errorf("node %d cached %d mechanisms, want %d", i, st.CachedMechanisms, want)
+		}
 	}
 
-	b.Close()
-	if _, err := ca.Sample(ctx, spec, 2); err != nil {
-		t.Fatalf("sample with dead owner did not fall back locally: %v", err)
-	}
-	if st := nodeA.Status(); st.CachedMechanisms != 1 {
+	servers[2].Close()
+	query()
+	// Only the dead owner's mechanism is built here.
+	if st := nodes[0].Status(); st.CachedMechanisms != 1 {
 		t.Errorf("local fallback cached %d mechanisms, want 1", st.CachedMechanisms)
 	}
+	body := scrapeMetrics(t, servers[0].URL)
+	for _, want := range []string{
+		"privcount_forward_hops_total 4",
+		"privcount_forwarded_ops_total 8",
+		"privcount_forward_fallbacks_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// scrapeMetrics returns a server's /metrics exposition.
+func scrapeMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 // TestGetClusterDocument pins the /v2/cluster response shape against

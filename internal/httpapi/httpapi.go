@@ -97,6 +97,11 @@ type api struct {
 	latency    *metrics.HistogramVec
 	errorCodes *metrics.CounterVec
 
+	// forwardHops counts query hops sent to ring owners, forwardedOps
+	// the ops they carried, and forwardFallbacks the hops that failed
+	// and ran their ops locally. Registered only with a cluster node.
+	forwardHops, forwardedOps, forwardFallbacks *metrics.Counter
+
 	// routes lists every instrumented route pattern, in registration
 	// order — the iteration set for the per-route latency quantiles in
 	// /v2/stats and the quantile gauges on /metrics.
@@ -164,6 +169,12 @@ func NewMuxWithCluster(svc *service.Service, reg *metrics.Registry, node *cluste
 	if node != nil {
 		handle("GET /v2/cluster", a.getCluster)
 		node.RegisterMetrics(reg)
+		a.forwardHops = reg.NewCounter("privcount_forward_hops_total",
+			"POST /v2/query hops sent to ring owners, one per owner per query batch.")
+		a.forwardedOps = reg.NewCounter("privcount_forwarded_ops_total",
+			"Query ops carried by forwarded hops (including hops that fell back).")
+		a.forwardFallbacks = reg.NewCounter("privcount_forward_fallbacks_total",
+			"Forwarded hops that failed, their ops then run locally.")
 	}
 
 	// v1: retired. Every old route (and any other /v1 path) answers 410
@@ -551,13 +562,17 @@ func (a *api) writeMediaError(w http.ResponseWriter, status int, msg string) {
 // trip. Request-level failures (malformed body, empty or oversized
 // batch, failed negotiation) fail the whole call with an envelope;
 // per-op failures land in that op's result slot so the rest of the
-// batch still answers. Buffered ops run concurrently — the cache hot
-// path is lock-free and sampling draws from per-shard RNG pools, and a
-// batch touching several cold mechanisms admits every build up front so
-// the worker pool overlaps them (the batch waits for the slowest build,
-// not the sum). The binary-in/binary-out pair instead streams: ops
-// execute sequentially on the zero-alloc sampling path with no op-count
-// cap, each result frame on the wire before the next op is read.
+// batch still answers. Buffered ops are sorted in one pass, each
+// distinct ID parsed once: ops on a mechanism this node holds ready run
+// inline on the handler goroutine (the cache hot path is lock-free and
+// never blocks); ops that may wait on a build get a goroutine each, so
+// a batch touching several cold mechanisms admits every build up front
+// and waits for the slowest build, not the sum; and on a cluster
+// member, ops on a mechanism this node neither owns nor holds go to
+// their ring owner as one hop per owner (see forwardHop). The
+// binary-in/binary-out pair instead streams: ops execute sequentially
+// on the zero-alloc sampling path with no op-count cap, each result
+// frame on the wire before the next op is read.
 func (a *api) postQuery(w http.ResponseWriter, r *http.Request) {
 	binIn, binOut, ok := a.negotiate(w, r)
 	if !ok {
@@ -602,26 +617,65 @@ func (a *api) postQuery(w http.ResponseWriter, r *http.Request) {
 		a.writeV2Error(w, fmt.Errorf("%w: empty ops", service.ErrSpecInvalid))
 		return
 	}
-	// On a cluster member, ops naming non-owned cold mechanisms are
-	// forwarded to their ring owner (so the build happens once,
-	// cluster-wide) — unless this request was itself routed here, which
-	// pins execution local to keep forwarding single-hop.
+	// A request that was itself routed here runs every op locally, which
+	// keeps forwarding single-hop.
 	mayForward := a.node != nil && r.Header.Get(cluster.RoutedHeader) == ""
+	ctx := r.Context()
 	results := make([]client.OpResult, len(ops))
-	var wg sync.WaitGroup
+	specs := make([]service.Spec, len(ops))
+	var inline, waiting []int
+	var groups []forwardGroup
+	var sc opScratch
 	for i := range ops {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if mayForward {
-				if res, ok := a.forwardOp(r.Context(), ops[i]); ok {
-					results[i] = res
-					return
-				}
+		spec, err := sc.spec(ops[i].ID)
+		if err != nil {
+			results[i] = a.opError(err)
+			continue
+		}
+		specs[i] = spec
+		if a.readyLocally(spec) {
+			inline = append(inline, i)
+			continue
+		}
+		if mayForward {
+			if owner, ok := a.forwardOwner(spec); ok {
+				groups = addToGroup(groups, owner, i)
+				continue
 			}
-			// Each op owns its scratch, so a batch result may alias it.
-			results[i] = a.runOpInto(r.Context(), &ops[i], &opScratch{})
-		}(i)
+		}
+		waiting = append(waiting, i)
+	}
+	var wg sync.WaitGroup
+	// Only the goroutine owning slot i writes results[i]; the nil
+	// scratch gives each batch result its own buffer.
+	runAsync := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = a.execOp(ctx, &ops[i], specs[i], nil)
+		}()
+	}
+	for _, g := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if a.forwardHop(ctx, g, ops, results) {
+				return
+			}
+			// Availability beats strict build-once: the local solver is
+			// always a correct fallback. wg is still held here, so these
+			// Adds cannot race the Wait below to zero.
+			a.forwardFallbacks.Inc()
+			for _, i := range g.idx {
+				runAsync(i)
+			}
+		}()
+	}
+	for _, i := range waiting {
+		runAsync(i)
+	}
+	for _, i := range inline {
+		results[i] = a.execOp(ctx, &ops[i], specs[i], nil)
 	}
 	wg.Wait()
 	if binOut {
@@ -776,8 +830,12 @@ func (sc *opScratch) spec(id string) (service.Spec, error) {
 	return s, nil
 }
 
-// buffer returns sc's batch result buffer resized to k.
+// buffer returns sc's batch result buffer resized to k; a nil scratch
+// returns a fresh slice, for results that must not share one.
 func (sc *opScratch) buffer(k int) []int {
+	if sc == nil {
+		return make([]int, k)
+	}
 	if cap(sc.dst) < k {
 		sc.dst = make([]int, k)
 	}
@@ -794,6 +852,13 @@ func (a *api) runOpInto(ctx context.Context, op *client.Op, sc *opScratch) clien
 	if err != nil {
 		return a.opError(err)
 	}
+	return a.execOp(ctx, op, spec, sc)
+}
+
+// execOp executes one query op against its parsed spec, writing batch
+// results into sc's buffer (a fresh one when sc is nil).
+func (a *api) execOp(ctx context.Context, op *client.Op, spec service.Spec, sc *opScratch) client.OpResult {
+	var err error
 	switch op.Op {
 	case client.OpSample:
 		out, err := a.svc.SampleCtx(ctx, spec, op.Count)
