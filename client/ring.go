@@ -2,13 +2,7 @@ package client
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"net/http"
-	"sync"
-
-	"privcount"
-	"privcount/internal/cluster"
 )
 
 // ClusterStatus reads the server's GET /v2/cluster document. Single-box
@@ -20,234 +14,4 @@ func (c *Client) ClusterStatus(ctx context.Context) (*ClusterStatus, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// RingClient is a fleet-aware Client: it bootstraps the ring topology
-// from any one node's GET /v2/cluster, rebuilds the same consistent-
-// hash ring locally, and sends each request straight to the mechanism's
-// owner — the proxy/redirect hop on the server becomes the fallback for
-// a stale view rather than the steady state. Query batches are split by
-// owner and reassembled positionally, so one round trip per owning node
-// serves an arbitrary mix of mechanisms.
-//
-// Topology is a snapshot: call Refresh when the fleet changes (requests
-// still succeed on a stale ring — the contacted node proxies, or the
-// HTTP client follows the 307, it just costs the extra hop).
-type RingClient struct {
-	opts []Option
-	seed *Client // the bootstrap node; serves fleet-wide routes too
-
-	mu          sync.RWMutex
-	ring        *cluster.Ring
-	replication int
-	clients     map[string]*Client // by peer base URL, created lazily
-}
-
-// NewRingClient bootstraps a RingClient from the privcountd at
-// anyNodeURL, which must be a cluster member. opts apply to every
-// per-peer Client the RingClient creates.
-func NewRingClient(ctx context.Context, anyNodeURL string, opts ...Option) (*RingClient, error) {
-	seed, err := New(anyNodeURL, opts...)
-	if err != nil {
-		return nil, err
-	}
-	rc := &RingClient{
-		opts:    opts,
-		seed:    seed,
-		clients: map[string]*Client{seed.base: seed},
-	}
-	if err := rc.Refresh(ctx); err != nil {
-		return nil, err
-	}
-	return rc, nil
-}
-
-// Refresh re-reads the cluster topology from the bootstrap node and
-// swaps in a freshly built ring. In-flight calls keep the old view.
-func (rc *RingClient) Refresh(ctx context.Context) error {
-	st, err := rc.seed.ClusterStatus(ctx)
-	if err != nil {
-		return fmt.Errorf("client: cluster bootstrap: %w", err)
-	}
-	peers := make([]cluster.Peer, len(st.Peers))
-	for i, u := range st.Peers {
-		peers[i] = cluster.Peer{URL: u}
-	}
-	ring, err := cluster.NewRing(peers, st.VirtualNodes)
-	if err != nil {
-		return fmt.Errorf("client: cluster bootstrap: %w", err)
-	}
-	rc.mu.Lock()
-	rc.ring, rc.replication = ring, st.Replication
-	rc.mu.Unlock()
-	return nil
-}
-
-// Peers returns the current topology snapshot's peer URLs.
-func (rc *RingClient) Peers() []string {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	peers := rc.ring.Peers()
-	urls := make([]string, len(peers))
-	for i, p := range peers {
-		urls[i] = p.URL
-	}
-	return urls
-}
-
-// ownerClient returns the Client for the node owning the canonical ID,
-// creating the per-peer Client on first use.
-func (rc *RingClient) ownerClient(id string) (*Client, error) {
-	rc.mu.RLock()
-	owner := rc.ring.Owner(id).URL
-	c := rc.clients[owner]
-	rc.mu.RUnlock()
-	if c != nil {
-		return c, nil
-	}
-	nc, err := New(owner, rc.opts...)
-	if err != nil {
-		return nil, fmt.Errorf("client: peer %s: %w", owner, err)
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if c = rc.clients[owner]; c != nil {
-		return c, nil
-	}
-	rc.clients[owner] = nc
-	return nc, nil
-}
-
-// forSpec resolves spec's canonical ID and its owner's Client.
-func (rc *RingClient) forSpec(spec privcount.Spec) (*Client, error) {
-	id, err := specID(spec)
-	if err != nil {
-		return nil, err
-	}
-	return rc.ownerClient(id)
-}
-
-// Create admits spec on its owning node.
-func (rc *RingClient) Create(ctx context.Context, spec privcount.Spec) (*MechanismStatus, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Create(ctx, spec)
-}
-
-// Status reads spec's status from its owning node.
-func (rc *RingClient) Status(ctx context.Context, spec privcount.Spec) (*MechanismStatus, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Status(ctx, spec)
-}
-
-// WaitReady polls spec to readiness on its owning node.
-func (rc *RingClient) WaitReady(ctx context.Context, spec privcount.Spec) (*MechanismStatus, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.WaitReady(ctx, spec)
-}
-
-// Sample draws one noisy release from spec's owning node.
-func (rc *RingClient) Sample(ctx context.Context, spec privcount.Spec, count int) (int, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return 0, err
-	}
-	return c.Sample(ctx, spec, count)
-}
-
-// SampleBatch draws one noisy release per count from spec's owner.
-func (rc *RingClient) SampleBatch(ctx context.Context, spec privcount.Spec, counts []int) ([]int, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.SampleBatch(ctx, spec, counts)
-}
-
-// SampleBatchSeeded is SampleBatch with reproducible draws.
-func (rc *RingClient) SampleBatchSeeded(ctx context.Context, spec privcount.Spec, seed uint64, counts []int) ([]int, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.SampleBatchSeeded(ctx, spec, seed, counts)
-}
-
-// Estimate decodes observed outputs on spec's owning node.
-func (rc *RingClient) Estimate(ctx context.Context, spec privcount.Spec, outputs []int) (*Estimate, error) {
-	c, err := rc.forSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Estimate(ctx, spec, outputs)
-}
-
-// Query splits ops by their mechanisms' owning nodes, issues one
-// /v2/query round trip per owner concurrently, and reassembles the
-// results positionally — the same contract as Client.Query, minus the
-// cross-node proxy hops. An op whose ID fails to resolve gets a typed
-// per-op error in its slot; a failed per-owner round trip fails the
-// whole call, matching Client.Query's transport-error contract.
-func (rc *RingClient) Query(ctx context.Context, ops []Op) ([]OpResult, error) {
-	results := make([]OpResult, len(ops))
-	byOwner := make(map[*Client][]int)
-	for i, op := range ops {
-		// Hash the canonical ID — equivalent spellings of one spec must
-		// land on one owner, exactly as the server-side ring hashes them.
-		var spec privcount.Spec
-		err := spec.UnmarshalText([]byte(op.ID))
-		var c *Client
-		if err == nil {
-			c, err = rc.ownerClient(spec.ID())
-		}
-		if err != nil {
-			var apiErr *Error
-			if !errors.As(localError(err), &apiErr) {
-				apiErr = &Error{Code: CodeSpecInvalid, Message: err.Error()}
-			}
-			results[i] = OpResult{Error: apiErr}
-			continue
-		}
-		byOwner[c] = append(byOwner[c], i)
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for c, idxs := range byOwner {
-		wg.Add(1)
-		go func(c *Client, idxs []int) {
-			defer wg.Done()
-			sub := make([]Op, len(idxs))
-			for j, i := range idxs {
-				sub[j] = ops[i]
-			}
-			out, err := c.Query(ctx, sub)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			for j, i := range idxs {
-				results[i] = out[j]
-			}
-		}(c, idxs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
 }

@@ -6,235 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
-
-	"privcount"
-	"privcount/internal/cluster"
 )
-
-// fakeNode is a minimal fleet member: it serves the cluster topology
-// document and answers queries and status reads, counting what lands on
-// it so tests can assert client-side routing sent each request to the
-// owner and nowhere else.
-type fakeNode struct {
-	url     string   // set after the listener binds
-	peers   []string // the shared fleet view, set after all bind
-	queries atomic.Int64
-	status  atomic.Int64
-}
-
-func (n *fakeNode) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v2/cluster", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(ClusterStatus{
-			Self: n.url, Peers: n.peers, Replication: 1, VirtualNodes: 64, RouteMode: "proxy",
-		})
-	})
-	mux.HandleFunc("POST /v2/query", func(w http.ResponseWriter, r *http.Request) {
-		n.queries.Add(1)
-		var req QueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		results := make([]OpResult, len(req.Ops))
-		for i := range req.Ops {
-			out := i + 1 // position-dependent, so reassembly mistakes show
-			results[i] = OpResult{Output: &out}
-		}
-		json.NewEncoder(w).Encode(QueryResponse{Results: results})
-	})
-	mux.HandleFunc("GET /v2/mechanisms/{id}", func(w http.ResponseWriter, r *http.Request) {
-		n.status.Add(1)
-		var spec privcount.Spec
-		if err := spec.UnmarshalText([]byte(r.PathValue("id"))); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		json.NewEncoder(w).Encode(MechanismStatus{ID: spec.ID(), Spec: spec, State: "ready"})
-	})
-	return mux
-}
-
-// startFakeFleet boots n fake nodes that all advertise the same peer
-// set via GET /v2/cluster.
-func startFakeFleet(t *testing.T, n int) []*fakeNode {
-	t.Helper()
-	nodes := make([]*fakeNode, n)
-	urls := make([]string, n)
-	for i := range nodes {
-		nodes[i] = &fakeNode{}
-		ts := httptest.NewServer(nodes[i].handler())
-		t.Cleanup(ts.Close)
-		nodes[i].url = ts.URL
-		urls[i] = ts.URL
-	}
-	for _, fn := range nodes {
-		fn.peers = urls
-	}
-	return nodes
-}
-
-// nodeFor returns the fake node owning spec under the same ring the
-// RingClient rebuilds from the topology document.
-func nodeFor(t *testing.T, nodes []*fakeNode, spec privcount.Spec) *fakeNode {
-	t.Helper()
-	peers := make([]cluster.Peer, len(nodes))
-	for i, fn := range nodes {
-		peers[i] = cluster.Peer{URL: fn.url}
-	}
-	ring, err := cluster.NewRing(peers, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := specID(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := ring.Owner(id).URL
-	for _, fn := range nodes {
-		if fn.url == owner {
-			return fn
-		}
-	}
-	t.Fatalf("owner %s not among fake nodes", owner)
-	return nil
-}
-
-// specOwnedBy scans group sizes until it finds a spec owned by each of
-// want distinct nodes, so routing tests always have cross-node traffic.
-func specsAcrossOwners(t *testing.T, nodes []*fakeNode) (a, b privcount.Spec) {
-	t.Helper()
-	var first privcount.Spec
-	firstOwner := (*fakeNode)(nil)
-	for n := 4; n <= 256; n *= 2 {
-		spec := privcount.Spec{Kind: privcount.SpecGeometric, N: n, Alpha: 0.5}
-		owner := nodeFor(t, nodes, spec)
-		if firstOwner == nil {
-			first, firstOwner = spec, owner
-			continue
-		}
-		if owner != firstOwner {
-			return first, spec
-		}
-	}
-	t.Fatal("no two specs with distinct owners among n=4..256")
-	return
-}
-
-// TestRingClientRoutesToOwner pins client-side routing: every call for
-// a spec lands on the ring owner's node and only there.
-func TestRingClientRoutesToOwner(t *testing.T) {
-	nodes := startFakeFleet(t, 3)
-	ctx := context.Background()
-	rc, err := NewRingClient(ctx, nodes[0].url)
-	if err != nil {
-		t.Fatalf("NewRingClient: %v", err)
-	}
-	if got := rc.Peers(); len(got) != 3 {
-		t.Fatalf("Peers = %v, want 3 entries", got)
-	}
-
-	specA, specB := specsAcrossOwners(t, nodes)
-	ownerB := nodeFor(t, nodes, specB)
-	if _, err := rc.Sample(ctx, specB, 3); err != nil {
-		t.Fatalf("Sample: %v", err)
-	}
-	if got := ownerB.queries.Load(); got != 1 {
-		t.Errorf("owner saw %d queries, want 1", got)
-	}
-	for _, fn := range nodes {
-		if fn != ownerB && fn.queries.Load() != 0 {
-			t.Errorf("non-owner %s saw %d queries, want 0", fn.url, fn.queries.Load())
-		}
-	}
-
-	ownerA := nodeFor(t, nodes, specA)
-	if st, err := rc.Status(ctx, specA); err != nil || st.State != "ready" {
-		t.Fatalf("Status = %+v, %v", st, err)
-	}
-	if got := ownerA.status.Load(); got != 1 {
-		t.Errorf("owner saw %d status reads, want 1", got)
-	}
-}
-
-// TestRingClientQuerySplitsAndReassembles pins the mixed-owner Query
-// contract: ops are grouped per owner, one round trip each, results
-// return in op order, and an unresolvable ID yields a typed per-op
-// error without failing the batch.
-func TestRingClientQuerySplitsAndReassembles(t *testing.T) {
-	nodes := startFakeFleet(t, 3)
-	ctx := context.Background()
-	rc, err := NewRingClient(ctx, nodes[0].url)
-	if err != nil {
-		t.Fatalf("NewRingClient: %v", err)
-	}
-	specA, specB := specsAcrossOwners(t, nodes)
-	ops := []Op{
-		SampleOp(specA, 1),
-		{Op: "sample", ID: "not a spec", Count: 1},
-		SampleOp(specB, 2),
-		SampleOp(specA, 3),
-	}
-	results, err := rc.Query(ctx, ops)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if len(results) != len(ops) {
-		t.Fatalf("got %d results, want %d", len(results), len(ops))
-	}
-	if results[1].Error == nil || results[1].Error.Code != CodeSpecInvalid {
-		t.Errorf("bad-ID slot = %+v, want spec_invalid error", results[1])
-	}
-	// specA's owner served ops 0 and 3 in one round trip (outputs 1 and
-	// 2 in sub-batch order); specB's owner served op 2 alone (output 1).
-	for i, want := range map[int]int{0: 1, 2: 1, 3: 2} {
-		if results[i].Error != nil || results[i].Output == nil || *results[i].Output != want {
-			t.Errorf("results[%d] = %+v, want output %d", i, results[i], want)
-		}
-	}
-	total := int64(0)
-	for _, fn := range nodes {
-		total += fn.queries.Load()
-	}
-	if total != 2 {
-		t.Errorf("fleet saw %d query round trips, want 2 (one per owner)", total)
-	}
-	if got := nodeFor(t, nodes, specA).queries.Load(); got != 1 {
-		t.Errorf("specA owner saw %d round trips, want 1", got)
-	}
-}
-
-// TestRingClientRefresh pins topology refresh: a fleet answer that
-// shrinks to one node collapses all routing onto it.
-func TestRingClientRefresh(t *testing.T) {
-	nodes := startFakeFleet(t, 2)
-	ctx := context.Background()
-	rc, err := NewRingClient(ctx, nodes[0].url)
-	if err != nil {
-		t.Fatalf("NewRingClient: %v", err)
-	}
-	// The fleet view shrinks to just the seed node; Refresh must adopt it.
-	for _, fn := range nodes {
-		fn.peers = []string{nodes[0].url}
-	}
-	if err := rc.Refresh(ctx); err != nil {
-		t.Fatalf("Refresh: %v", err)
-	}
-	if got := rc.Peers(); len(got) != 1 || got[0] != nodes[0].url {
-		t.Fatalf("Peers after shrink = %v, want just the seed", got)
-	}
-	for i := 0; i < 4; i++ {
-		spec := privcount.Spec{Kind: privcount.SpecGeometric, N: 4 << i, Alpha: 0.5}
-		if _, err := rc.Sample(ctx, spec, 1); err != nil {
-			t.Fatalf("Sample after shrink: %v", err)
-		}
-	}
-	if got := nodes[1].queries.Load(); got != 0 {
-		t.Errorf("removed node still saw %d queries", got)
-	}
-}
 
 // TestClusterStatusNotServed pins the single-box behaviour: a server
 // without the cluster layer answers /v2/cluster with the typed 404.

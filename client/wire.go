@@ -231,7 +231,9 @@ type MechanismList struct {
 
 // ClusterStatus is the GET /v2/cluster document: one node's view of the
 // fleet — ring membership and parameters, warm-sync counters, and the
-// local ownership snapshot. Single-box servers do not serve the route.
+// local ownership snapshot. It is for monitoring: the SDK needs none of
+// it to reach a fleet, since any node proxies a request to its owner.
+// Single-box servers do not serve the route.
 type ClusterStatus struct {
 	// Self is the answering node's base URL; Peers is the full ring
 	// membership (Self included).
@@ -239,7 +241,7 @@ type ClusterStatus struct {
 	Peers []string `json:"peers"`
 	// Replication is the owner-plus-replicas count per mechanism;
 	// VirtualNodes the per-peer point count on the hash ring; RouteMode
-	// "proxy" or "redirect".
+	// is always "proxy", the only route mode.
 	Replication  int    `json:"replication"`
 	VirtualNodes int    `json:"virtual_nodes"`
 	RouteMode    string `json:"route_mode"`
@@ -258,8 +260,7 @@ type ClusterStatus struct {
 	SyncRejects   int64 `json:"sync_rejects"`
 	SyncErrors    int64 `json:"sync_errors"`
 	// OwnedMechanisms counts locally cached mechanisms the node owns or
-	// replicates under the current ring; CachedMechanisms the whole
-	// local cache.
+	// replicates; CachedMechanisms the whole local cache.
 	OwnedMechanisms  int `json:"owned_mechanisms"`
 	CachedMechanisms int `json:"cached_mechanisms"`
 }

@@ -16,10 +16,11 @@
 // warm-sync via the /v2 artifact routes.
 //
 // With -peers and -self set, the daemon joins a static fleet: mechanism
-// IDs are sharded across peers by consistent hashing, a background
-// agent pulls artifacts this node owns (or replicates) from whichever
-// peer built them, and requests for non-owned IDs are proxied or
-// redirected (-route-mode) to the ring owner:
+// IDs are sharded across peers by consistent hashing on a ring fixed at
+// start, a background agent pulls artifacts this node owns (or
+// replicates) from whichever peer built them, and requests for
+// non-owned IDs are proxied to the ring owner, so clients may send
+// anything to any node:
 //
 //	privcountd -addr :8080 -self http://node-a:8080 \
 //	           -peers http://node-a:8080,http://node-b:8080,http://node-c:8080 \
@@ -94,13 +95,11 @@ func main() {
 		self = flag.String("self", "",
 			"this node's base URL as it appears in -peers (required with -peers)")
 		routeMode = flag.String("route-mode", "proxy",
-			"how requests for non-owned mechanism IDs reach the ring owner: proxy or redirect")
+			"how requests for non-owned mechanism IDs reach the ring owner: proxy, the only mode")
 		syncInterval = flag.Duration("sync-interval", 0,
 			"warm-sync poll period (0 = 5s default)")
 		replication = flag.Int("replication", 0,
 			"peers (owner included) holding each mechanism (0 = 2, clamped to fleet size)")
-		vnodes = flag.Int("vnodes", 0,
-			"virtual nodes per peer on the consistent-hash ring (0 = 64)")
 	)
 	flag.Parse()
 
@@ -121,14 +120,13 @@ func main() {
 		}
 		cfg.Store = store
 	}
+	if _, err := cluster.ParseRouteMode(*routeMode); err != nil {
+		log.Fatal(err)
+	}
 	var ccfg *cluster.Config
 	if *peers != "" {
 		if *self == "" {
 			log.Fatal("privcountd: -peers requires -self")
-		}
-		mode, err := cluster.ParseRouteMode(*routeMode)
-		if err != nil {
-			log.Fatal(err)
 		}
 		var peerSet []cluster.Peer
 		for _, u := range strings.Split(*peers, ",") {
@@ -138,11 +136,9 @@ func main() {
 		}
 		ccfg = &cluster.Config{
 			Self:         *self,
-			Membership:   cluster.Static(peerSet),
+			Membership:   peerSet,
 			Replication:  *replication,
-			VirtualNodes: *vnodes,
 			PollInterval: *syncInterval,
-			RouteMode:    mode,
 			Logf:         log.Printf,
 		}
 	}
@@ -204,8 +200,8 @@ func run(ctx context.Context, addr string, cfg service.Config, ccfg *cluster.Con
 	log.Printf("privcountd listening on %s (capacity=%d shards=%d)", ln.Addr(), cfg.Capacity, cfg.Shards)
 	if node != nil {
 		node.Start()
-		log.Printf("privcountd cluster node %s (peers=%d replication=%d route=%s)",
-			node.Self(), len(node.Status().Peers), node.Replication(), node.RouteMode())
+		log.Printf("privcountd cluster node %s (peers=%d replication=%d)",
+			node.Self(), len(node.Status().Peers), node.Replication())
 	}
 	if ready != nil {
 		ready <- ln.Addr().String()

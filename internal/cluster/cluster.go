@@ -14,66 +14,47 @@ import (
 	"privcount/internal/service"
 )
 
-// RouteMode selects what a node does with a request for a mechanism ID
-// it does not own (see internal/httpapi's routing layer).
+// RouteMode names how a request for a mechanism ID this node does not
+// own reaches the owner. Proxying is the only mode: the node forwards
+// the request over its own HTTP client and relays the response, so
+// clients see one logical server.
 type RouteMode int
 
-const (
-	// RouteProxy forwards the request to the owner over the node's own
-	// HTTP client and relays the response — clients see one logical
-	// server. The forwarded request carries RoutedHeader so the owner
-	// serves it locally even under a stale ring (no proxy loops).
-	RouteProxy RouteMode = iota
-	// RouteRedirect answers 307 Temporary Redirect with the owner's URL
-	// in Location — cheaper for the non-owner (no relayed bytes), and
-	// 307 preserves the method and body, so ring-unaware clients whose
-	// HTTP stacks follow redirects still land on the owner.
-	RouteRedirect
-)
+// RouteProxy is the proxy route mode, the only one.
+const RouteProxy RouteMode = 0
 
-// String renders the mode as its flag spelling ("proxy", "redirect").
-func (m RouteMode) String() string {
-	if m == RouteRedirect {
-		return "redirect"
-	}
-	return "proxy"
-}
-
-// ParseRouteMode parses a -route-mode flag value.
+// ParseRouteMode parses a -route-mode flag value: "proxy", or empty for
+// the same.
 func ParseRouteMode(s string) (RouteMode, error) {
-	switch s {
-	case "", "proxy":
+	if s == "" || s == "proxy" {
 		return RouteProxy, nil
-	case "redirect":
-		return RouteRedirect, nil
 	}
-	return RouteProxy, fmt.Errorf("cluster: unknown route mode %q (want proxy or redirect)", s)
+	return RouteProxy, fmt.Errorf("cluster: unknown route mode %q (proxy is the only mode)", s)
 }
 
 // RoutedHeader is the loop-prevention header: a request carrying it has
-// already been routed once (by a peer proxy, a redirect, or a query
-// hop) and must be served locally regardless of ring ownership.
-// Without it, two nodes with momentarily divergent rings could bounce a
-// request between each other forever.
+// already been routed once (by a peer proxy or a query hop) and must be
+// served locally regardless of ring ownership. Without it, two nodes
+// started with different -peers lists could bounce a request between
+// each other forever.
 const RoutedHeader = "X-Privcount-Routed"
 
 // Config configures a cluster Node.
 type Config struct {
-	// Self is this node's base URL exactly as it appears in the
-	// membership's peer set (identity on the ring is URL equality).
+	// Self is this node's base URL exactly as it appears in the peer
+	// set (identity on the ring is URL equality).
 	Self string
-	// Membership yields the peer set, Self included. Static covers the
-	// -peers flag; the interface is the seam for dynamic membership.
-	Membership Membership
+	// Membership is the peer set, Self included. The ring is built from
+	// it once, in New.
+	Membership Static
 	// Replication is the number of peers (owner included) holding each
 	// mechanism. Default 2, clamped to the fleet size.
 	Replication int
-	// VirtualNodes is the per-peer virtual-node count on the ring
-	// (default DefaultVirtualNodes).
-	VirtualNodes int
 	// PollInterval is the warm-sync period (default 5s).
 	PollInterval time.Duration
-	// RouteMode selects proxy or redirect routing for non-owned IDs.
+	// RouteMode is ignored: proxying is the only route mode.
+	//
+	// Deprecated: leave it zero.
 	RouteMode RouteMode
 	// HTTPClient is the client used for peer polls, artifact pulls, and
 	// proxying (default: a dedicated client with a 30s timeout).
@@ -92,17 +73,13 @@ const DefaultReplication = 2
 const DefaultPollInterval = 5 * time.Second
 
 // Node is one privcountd instance's view of the fleet: the ring, the
-// warm-sync agent, and the ownership queries the HTTP routing layer
-// asks. Create with New, start the sync loop with Start, and Close
-// before the service shuts down.
+// warm-sync agent, and the routing decision the HTTP layer asks. Create
+// with New, start the sync loop with Start, and Close before the
+// service shuts down.
 type Node struct {
-	svc *service.Service
-	cfg Config
-
-	// ring is rebuilt from the membership at each sync pass and swapped
-	// atomically, so routing reads never block on a membership refresh
-	// — the dynamic-membership seam is exactly this pointer.
-	ring atomic.Pointer[Ring]
+	svc  *service.Service
+	cfg  Config
+	ring *Ring // built from cfg.Membership in New, never changed
 
 	pulls     atomic.Int64 // artifacts imported from peers
 	pullBytes atomic.Int64 // artifact bytes pulled
@@ -131,16 +108,29 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 	if svc == nil {
 		return nil, fmt.Errorf("cluster: nil service")
 	}
-	if cfg.Membership == nil {
-		return nil, fmt.Errorf("cluster: nil membership")
-	}
 	cfg.Self = normalizeURL(cfg.Self)
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: empty self URL")
 	}
+	// Peer URLs are normalized so -self and -peers spellings that differ
+	// only in case or trailing slash still match.
+	peers := make([]Peer, len(cfg.Membership))
+	onRing := false
+	for i, p := range cfg.Membership {
+		peers[i] = Peer{URL: normalizeURL(p.URL)}
+		onRing = onRing || peers[i].URL == cfg.Self
+	}
+	ring, err := NewRing(peers, 0)
+	if err != nil {
+		return nil, err
+	}
+	if !onRing {
+		return nil, fmt.Errorf("cluster: self %s is not in the peer set", cfg.Self)
+	}
 	if cfg.Replication <= 0 {
 		cfg.Replication = DefaultReplication
 	}
+	cfg.Replication = min(cfg.Replication, ring.Size())
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = DefaultPollInterval
 	}
@@ -150,24 +140,18 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	n := &Node{
+	return &Node{
 		svc:   svc,
 		cfg:   cfg,
+		ring:  ring,
 		etags: make(map[string]heldTag),
 		done:  make(chan struct{}),
-	}
-	if err := n.refreshRing(); err != nil {
-		return nil, err
-	}
-	if !n.onRing(cfg.Self) {
-		return nil, fmt.Errorf("cluster: self %s is not in the peer set", cfg.Self)
-	}
-	return n, nil
+	}, nil
 }
 
 // normalizeURL canonicalises a peer URL for ring identity: scheme and
 // host lower-cased, trailing slashes dropped. An unparsable URL is
-// returned trimmed — New and refreshRing surface the failure on use.
+// returned trimmed — New surfaces the failure as a self not on the ring.
 func normalizeURL(s string) string {
 	s = strings.TrimRight(strings.TrimSpace(s), "/")
 	u, err := url.Parse(s)
@@ -179,33 +163,6 @@ func normalizeURL(s string) string {
 	return strings.TrimRight(u.String(), "/")
 }
 
-// refreshRing rebuilds the ring from the current membership and swaps
-// it in. Peer URLs are normalized so -self and -peers spellings that
-// differ only in case or trailing slash still match.
-func (n *Node) refreshRing() error {
-	peers := n.cfg.Membership.Peers()
-	norm := make([]Peer, len(peers))
-	for i, p := range peers {
-		norm[i] = Peer{URL: normalizeURL(p.URL)}
-	}
-	ring, err := NewRing(norm, n.cfg.VirtualNodes)
-	if err != nil {
-		return err
-	}
-	n.ring.Store(ring)
-	return nil
-}
-
-// onRing reports whether url is a peer on the current ring.
-func (n *Node) onRing(url string) bool {
-	for _, p := range n.ring.Load().Peers() {
-		if p.URL == url {
-			return true
-		}
-	}
-	return false
-}
-
 // Self returns this node's normalized base URL.
 func (n *Node) Self() string { return n.cfg.Self }
 
@@ -214,40 +171,30 @@ func (n *Node) Self() string { return n.cfg.Self }
 // duplicated per subsystem.
 func (n *Node) Client() *http.Client { return n.cfg.HTTPClient }
 
-// RouteMode returns the configured routing behaviour for non-owned IDs.
-func (n *Node) RouteMode() RouteMode { return n.cfg.RouteMode }
-
 // Replication returns the effective replication factor (clamped to the
-// current fleet size).
-func (n *Node) Replication() int {
-	if r := n.ring.Load(); n.cfg.Replication > r.Size() {
-		return r.Size()
-	}
-	return n.cfg.Replication
-}
+// fleet size).
+func (n *Node) Replication() int { return n.cfg.Replication }
 
-// owners returns the owner+replica set for a canonical Spec ID.
-func (n *Node) owners(id string) []Peer {
-	return n.ring.Load().Owners(id, n.cfg.Replication)
+// ForwardTo is the routing decision for a canonical Spec ID: when this
+// node is neither the owner nor a replica of id it returns the owner's
+// base URL and true; otherwise it returns false and the node serves id
+// itself.
+func (n *Node) ForwardTo(id string) (ownerURL string, ok bool) {
+	owners := n.ring.Owners(id, n.cfg.Replication)
+	for _, p := range owners {
+		if p.URL == n.cfg.Self {
+			return "", false
+		}
+	}
+	return owners[0].URL, true
 }
 
 // Owns reports whether this node is the owner or a replica for id —
 // i.e. whether it should hold (and may authoritatively serve) the
 // mechanism.
 func (n *Node) Owns(id string) bool {
-	for _, p := range n.owners(id) {
-		if p.URL == n.cfg.Self {
-			return true
-		}
-	}
-	return false
-}
-
-// Owner returns the owning peer's base URL for id and whether that
-// owner is this node.
-func (n *Node) Owner(id string) (ownerURL string, self bool) {
-	p := n.ring.Load().Owner(id)
-	return p.URL, p.URL == n.cfg.Self
+	_, fwd := n.ForwardTo(id)
+	return !fwd
 }
 
 // Start launches the background warm-sync loop: a first pass after a
@@ -295,11 +242,9 @@ type Status struct {
 	// (Self included), sorted as configured.
 	Self  string
 	Peers []string
-	// Replication and VirtualNodes are the effective ring parameters;
-	// RouteMode is "proxy" or "redirect".
+	// Replication and VirtualNodes are the effective ring parameters.
 	Replication  int
 	VirtualNodes int
-	RouteMode    string
 	// PollInterval is the warm-sync period.
 	PollInterval time.Duration
 	// SyncPasses counts completed sync passes; LastSync is the wall
@@ -314,15 +259,14 @@ type Status struct {
 	// listing a locally held ID ready without its ETag.
 	SyncPulls, SyncBytes, SyncConflicts, SyncRejects, SyncErrors int64
 	// OwnedMechanisms is how many locally cached mechanisms this node
-	// owns or replicates under the current ring; CachedMechanisms is
-	// the total local cache population.
+	// owns or replicates; CachedMechanisms is the total local cache
+	// population.
 	OwnedMechanisms, CachedMechanisms int
 }
 
 // Status snapshots the node.
 func (n *Node) Status() Status {
-	ring := n.ring.Load()
-	peers := ring.Peers()
+	peers := n.ring.Peers()
 	urls := make([]string, len(peers))
 	for i, p := range peers {
 		urls[i] = p.URL
@@ -332,8 +276,7 @@ func (n *Node) Status() Status {
 		Self:             n.cfg.Self,
 		Peers:            urls,
 		Replication:      n.Replication(),
-		VirtualNodes:     ring.VirtualNodes(),
-		RouteMode:        n.cfg.RouteMode.String(),
+		VirtualNodes:     n.ring.VirtualNodes(),
 		PollInterval:     n.cfg.PollInterval,
 		SyncPasses:       n.syncs.Load(),
 		SyncPulls:        n.pulls.Load(),
@@ -351,7 +294,7 @@ func (n *Node) Status() Status {
 }
 
 // ownershipCounts walks the local cache snapshot counting entries this
-// node owns under the current ring.
+// node owns or replicates.
 func (n *Node) ownershipCounts() (owned, cached int) {
 	for _, info := range n.svc.Entries() {
 		cached++
@@ -387,8 +330,8 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(n.syncs.Load()) })
 	reg.NewGaugeFunc("privcount_cluster_ring_size",
 		"Peers on the consistent-hash ring (self included).",
-		func() float64 { return float64(n.ring.Load().Size()) })
+		func() float64 { return float64(n.ring.Size()) })
 	reg.NewGaugeFunc("privcount_cluster_owned_mechanisms",
-		"Locally cached mechanisms this node owns or replicates under the current ring.",
+		"Locally cached mechanisms this node owns or replicates.",
 		func() float64 { owned, _ := n.ownershipCounts(); return float64(owned) })
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -39,11 +40,11 @@ type testNode struct {
 // the node starts.
 type fleetOption func(i int, sc *service.Config, cc *cluster.Config)
 
-// startFleet brings up n nodes with the given replication factor and
-// route mode, every node backed by its own MemStore. Listeners are
+// startFleet brings up n nodes with the given replication factor, every
+// node backed by its own MemStore. Listeners are
 // created first so the full peer URL set is known before any ring is
 // built.
-func startFleet(t testing.TB, n, replication int, mode cluster.RouteMode, opts ...fleetOption) []*testNode {
+func startFleet(t testing.TB, n, replication int, opts ...fleetOption) []*testNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Peer, n)
@@ -64,7 +65,6 @@ func startFleet(t testing.TB, n, replication int, mode cluster.RouteMode, opts .
 			Membership:   cluster.Static(peers),
 			Replication:  replication,
 			PollInterval: time.Hour, // tests drive SyncNow explicitly
-			RouteMode:    mode,
 		}
 		for _, opt := range opts {
 			opt(i, &sc, &cc)
@@ -106,7 +106,7 @@ func acceptanceSpec(t *testing.T) service.Spec {
 // one sync pass, with zero solver invocations on either — and a second
 // pass moves no bytes (the listed ETags all match the local copies).
 func TestClusterWarmSyncServesWithoutBuilds(t *testing.T) {
-	fleet := startFleet(t, 3, 3, cluster.RouteProxy) // R=3: everyone replicates everything
+	fleet := startFleet(t, 3, 3) // R=3: everyone replicates everything
 	spec := acceptanceSpec(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -180,7 +180,7 @@ func TestClusterWarmSyncServesWithoutBuilds(t *testing.T) {
 // converges in one sync pass — the ring tells the fresh process what it
 // should hold, and the peers still have it.
 func TestClusterRestartResync(t *testing.T) {
-	fleet := startFleet(t, 3, 3, cluster.RouteProxy)
+	fleet := startFleet(t, 3, 3)
 	spec := service.Spec{Kind: service.KindGeometric, N: 32, Alpha: 0.5}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -255,7 +255,7 @@ func splitFleet(t *testing.T, fleet []*testNode, spec service.Spec) (owner, othe
 // to the wrong node is proxied to the owner and answered correctly,
 // without the wrong node building anything.
 func TestClusterProxyRouting(t *testing.T) {
-	fleet := startFleet(t, 3, 1, cluster.RouteProxy)
+	fleet := startFleet(t, 3, 1)
 	spec := service.Spec{Kind: service.KindGeometric, N: 32, Alpha: 0.5}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -303,64 +303,12 @@ func TestClusterProxyRouting(t *testing.T) {
 	}
 }
 
-// TestClusterRedirectRouting: in redirect mode the non-owner answers
-// 307 with the owner's URL, and a redirect-following client lands on
-// the right node transparently.
-func TestClusterRedirectRouting(t *testing.T) {
-	fleet := startFleet(t, 3, 1, cluster.RouteRedirect)
-	spec := service.Spec{Kind: service.KindGeometric, N: 32, Alpha: 0.5}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	owner, other := splitFleet(t, fleet, spec)
-
-	oc, err := client.New(owner.url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oc.Create(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oc.WaitReady(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-
-	// Raw request, redirects not followed: the 307 and its Location are
-	// the contract.
-	id := spec.ID()
-	raw := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := raw.Get(other.url + "/v2/mechanisms/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("non-owner answered %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, owner.url+"/") {
-		t.Fatalf("Location = %q, want the owner %s", loc, owner.url)
-	}
-
-	// The SDK's default client follows the 307 (stdlib re-sends the
-	// method and body), so the same call just works.
-	nc, err := client.New(other.url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := nc.Status(ctx, spec)
-	if err != nil {
-		t.Fatalf("Status via redirecting non-owner: %v", err)
-	}
-	if !st.Ready() {
-		t.Fatalf("Status via redirect = %q, want ready", st.State)
-	}
-}
-
 // TestClusterStatusRoute exercises GET /v2/cluster end to end through
-// the SDK, and the RingClient bootstrap on top of it.
+// the SDK, then a plain client pointed at one node: what it creates
+// lands on the ring's holders, and its mixed-owner batches come back in
+// op order.
 func TestClusterStatusRoute(t *testing.T) {
-	fleet := startFleet(t, 3, 2, cluster.RouteProxy)
+	fleet := startFleet(t, 3, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -382,55 +330,78 @@ func TestClusterStatusRoute(t *testing.T) {
 		t.Errorf("VirtualNodes = %d, want default %d", st.VirtualNodes, cluster.DefaultVirtualNodes)
 	}
 
-	// RingClient: bootstraps the same topology and serves through the
-	// owner directly.
-	rc, err := client.NewRingClient(ctx, fleet[0].url)
-	if err != nil {
-		t.Fatalf("NewRingClient: %v", err)
+	// A client pointed at a node that neither owns nor replicates the
+	// spec still reaches it: the mechanism created through that node is
+	// built on the owner alone, and after one sync pass lives on exactly
+	// the nodes the ring names as owner and replicas. The test's own
+	// ring, built from the same peers, names each owner.
+	peers := make([]cluster.Peer, len(fleet))
+	for i, tn := range fleet {
+		peers[i] = cluster.Peer{URL: tn.url}
 	}
-	if got := rc.Peers(); len(got) != 3 {
-		t.Fatalf("RingClient.Peers = %v, want 3", got)
+	ring, err := cluster.NewRing(peers, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
-	if _, err := rc.Create(ctx, spec); err != nil {
-		t.Fatalf("RingClient.Create: %v", err)
-	}
-	if _, err := rc.WaitReady(ctx, spec); err != nil {
-		t.Fatalf("RingClient.WaitReady: %v", err)
-	}
-	if _, err := rc.Sample(ctx, spec, 7); err != nil {
-		t.Fatalf("RingClient.Sample: %v", err)
-	}
-	// The mechanism must live on exactly the nodes the ring names as
-	// owner/replica; RingClient talked straight to the owner.
 	id := spec.ID()
+	var entry *testNode
 	for _, tn := range fleet {
-		_, err := tn.svc.Peek(spec)
-		held := err == nil
-		if tn.node.Owns(id) {
-			ownerURL, _ := tn.node.Owner(id)
-			if ownerURL == tn.url && !held {
-				t.Errorf("owner %s does not hold %s", tn.url, id)
-			}
-		} else if held {
-			t.Errorf("non-owner %s holds %s; RingClient routed wrong", tn.url, id)
+		if !tn.node.Owns(id) {
+			entry = tn
+		}
+	}
+	if entry == nil {
+		t.Fatalf("every node holds %s at R=2 of 3", id)
+	}
+	ec, err := client.New(entry.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ec.Create(ctx, spec); err != nil {
+		t.Fatalf("Create via non-holder: %v", err)
+	}
+	if _, err := ec.WaitReady(ctx, spec); err != nil {
+		t.Fatalf("WaitReady via non-holder: %v", err)
+	}
+	if _, err := ec.Sample(ctx, spec, 7); err != nil {
+		t.Fatalf("Sample via non-holder: %v", err)
+	}
+	for _, tn := range fleet {
+		if _, err := tn.svc.Peek(spec); (err == nil) != (tn.url == ring.Owner(id).URL) {
+			t.Errorf("%s: holds %s = %v before sync, want it on the owner %s alone", tn.url, id, err == nil, ring.Owner(id).URL)
+		}
+	}
+	syncAll(t, ctx, fleet)
+	for _, tn := range fleet {
+		if _, err := tn.svc.Peek(spec); (err == nil) != tn.node.Owns(id) {
+			t.Errorf("%s: holds %s = %v after sync, owns it = %v", tn.url, id, err == nil, tn.node.Owns(id))
 		}
 	}
 
-	// Mixed-owner batch: ops spread over several mechanisms reassemble
-	// positionally.
+	// Mixed-owner batch through the same node: the answers come back in
+	// op order. Seeded batch ops are deterministic, so each op's answer
+	// must equal what the op's owner gives for it alone.
 	specs := []service.Spec{
 		{Kind: service.KindGeometric, N: 8, Alpha: 0.5},
 		{Kind: service.KindGeometric, N: 12, Alpha: 0.25},
 		{Kind: service.KindGeometric, N: 20, Alpha: 0.75},
+		{Kind: service.KindGeometric, N: 40, Alpha: 0.5},
+		{Kind: service.KindGeometric, N: 80, Alpha: 0.5},
 	}
+	owners := make(map[string]bool)
 	ops := make([]client.Op, len(specs))
 	for i, s := range specs {
-		ops[i] = client.Op{Op: client.OpSample, ID: s.ID(), Count: i}
+		seed := uint64(100 + i)
+		ops[i] = client.Op{Op: client.OpBatch, ID: s.ID(), Counts: []int{0, s.N / 2, s.N}, Seed: &seed}
+		owners[ring.Owner(s.ID()).URL] = true
 	}
-	results, err := rc.Query(ctx, ops)
+	if len(owners) < 2 {
+		t.Fatal("every batch spec has the same owner; want a mixed-owner batch")
+	}
+	results, err := ec.Query(ctx, ops)
 	if err != nil {
-		t.Fatalf("RingClient.Query: %v", err)
+		t.Fatalf("Query via non-holder: %v", err)
 	}
 	if len(results) != len(ops) {
 		t.Fatalf("Query returned %d results for %d ops", len(results), len(ops))
@@ -439,8 +410,17 @@ func TestClusterStatusRoute(t *testing.T) {
 		if res.Error != nil {
 			t.Fatalf("op %d failed: %v", i, res.Error)
 		}
-		if res.Output == nil || *res.Output < 0 || *res.Output > specs[i].N {
-			t.Fatalf("op %d: bad output %v for n=%d", i, res.Output, specs[i].N)
+		owner := ring.Owner(specs[i].ID()).URL
+		oc, err := client.New(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := oc.Query(ctx, ops[i:i+1])
+		if err != nil || alone[0].Error != nil {
+			t.Fatalf("op %d alone on its owner %s: %v %v", i, owner, err, alone)
+		}
+		if fmt.Sprint(res.Outputs) != fmt.Sprint(alone[0].Outputs) {
+			t.Fatalf("op %d: batch answered %v, its owner alone %v", i, res.Outputs, alone[0].Outputs)
 		}
 	}
 }
@@ -502,7 +482,7 @@ func TestClusterSyncRejectsBadArtifact(t *testing.T) {
 // served locally even by a node that does not own the ID — the header
 // breaks the cycle two disagreeing rings could otherwise produce.
 func TestClusterProxyLoopPrevention(t *testing.T) {
-	fleet := startFleet(t, 3, 1, cluster.RouteProxy)
+	fleet := startFleet(t, 3, 1)
 	spec := service.Spec{Kind: service.KindGeometric, N: 16, Alpha: 0.5}
 	_, other := splitFleet(t, fleet, spec)
 
@@ -533,7 +513,7 @@ func TestClusterProxyLoopPrevention(t *testing.T) {
 // TestClusterMetricsExposition: the privcount_cluster_* and
 // privcount_forward_* series appear on /metrics with live values.
 func TestClusterMetricsExposition(t *testing.T) {
-	fleet := startFleet(t, 3, 3, cluster.RouteProxy)
+	fleet := startFleet(t, 3, 3)
 	spec := service.Spec{Kind: service.KindGeometric, N: 8, Alpha: 0.5}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

@@ -10,11 +10,12 @@ import (
 	"time"
 
 	"privcount/client"
-	"privcount/internal/cluster"
 	"privcount/internal/service"
 )
 
 // specsOwnedBy returns k closed-form specs whose ring owner is owner.
+// The forwarding fleets run at R=1, where owning an ID means being its
+// only holder.
 func specsOwnedBy(t testing.TB, owner *testNode, k int) []service.Spec {
 	t.Helper()
 	var out []service.Spec
@@ -23,7 +24,7 @@ func specsOwnedBy(t testing.TB, owner *testNode, k int) []service.Spec {
 			t.Fatalf("%s owns fewer than %d of 1000 gm specs", owner.url, k)
 		}
 		spec := service.Spec{Kind: service.KindGeometric, N: 8 + i, Alpha: 0.5}
-		if _, self := owner.node.Owner(spec.ID()); self {
+		if owner.node.Owns(spec.ID()) {
 			out = append(out, spec)
 		}
 	}
@@ -57,7 +58,7 @@ func mixedBatch(t testing.TB, fleet []*testNode) []client.Op {
 // each, and every op runs on its owner.
 func TestClusterForwardedBatchOneHopPerOwner(t *testing.T) {
 	counters := []*requestCounter{{}, {}, {}}
-	fleet := startFleet(t, 3, 1, cluster.RouteProxy, countRequests(counters))
+	fleet := startFleet(t, 3, 1, countRequests(counters))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	ops := mixedBatch(t, fleet)
@@ -90,7 +91,7 @@ func TestClusterForwardedBatchOneHopPerOwner(t *testing.T) {
 // succeed.
 func TestClusterForwardedGroupMatchesOwner(t *testing.T) {
 	counters := []*requestCounter{{}, {}, {}}
-	fleet := startFleet(t, 3, 1, cluster.RouteProxy, countRequests(counters))
+	fleet := startFleet(t, 3, 1, countRequests(counters))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	specs := specsOwnedBy(t, fleet[1], 2)
@@ -153,7 +154,7 @@ func scrape(t testing.TB, url string) string {
 // fleet, and reports the peer hops the entry node sends per batch.
 func BenchmarkQueryForwardedBatch(b *testing.B) {
 	counters := []*requestCounter{{}, {}, {}}
-	fleet := startFleet(b, 3, 1, cluster.RouteProxy, countRequests(counters))
+	fleet := startFleet(b, 3, 1, countRequests(counters))
 	ctx := context.Background()
 	ops := mixedBatch(b, fleet)
 	entry, err := client.New(fleet[0].url)

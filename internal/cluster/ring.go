@@ -15,14 +15,13 @@
 //     in its cache nor in its store, importing them through the
 //     service's existing decode→verify→install path;
 //
-//   - request-routing support (Node.Owner, RouteMode) that
-//     internal/httpapi uses to proxy or redirect requests for
-//     mechanisms this node does not own.
+//   - the routing decision (Node.ForwardTo) that internal/httpapi asks
+//     once per request and once per query op, proxying to the owner
+//     whatever this node neither owns nor replicates.
 //
-// Membership is a seam: the static peer set privcountd's -peers flag
-// configures today satisfies it, and a dynamic implementation (gossip,
-// an external coordinator) can replace it without touching the ring,
-// the sync agent, or the HTTP layer.
+// The peer set is fixed when the node is built: every node's ring is a
+// function of privcountd's -peers flag alone, so nodes given the same
+// list agree on every owner without talking to each other.
 //
 // Trust: the cluster layer adds no new trust boundary. Every pulled
 // artifact passes the same CRC framing, spec cross-validation, and full
@@ -46,20 +45,9 @@ type Peer struct {
 	URL string
 }
 
-// Membership yields the current peer set. The ring is rebuilt from it
-// on every Ring construction, so a dynamic implementation only has to
-// return fresh peer lists; Static is the file-configured implementation
-// privcountd uses today.
-type Membership interface {
-	Peers() []Peer
-}
-
-// Static is a fixed peer set — the Membership behind privcountd's
-// -peers flag.
+// Static is the fleet's peer set, fixed for the node's lifetime — the
+// list privcountd's -peers flag configures.
 type Static []Peer
-
-// Peers returns the configured peer set.
-func (s Static) Peers() []Peer { return []Peer(s) }
 
 // Ring is an immutable consistent-hash ring: each peer is hashed onto a
 // 64-bit circle at VirtualNodes points, and a key's owners are the
@@ -167,16 +155,23 @@ func (r *Ring) Owners(key string, count int) []Peer {
 	// First point with hash >= h, wrapping to 0.
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]Peer, 0, count)
-	taken := make(map[int]bool, count)
 	for n := 0; n < len(r.points) && len(out) < count; n++ {
-		pt := r.points[(i+n)%len(r.points)]
-		if taken[pt.peer] {
-			continue
+		if p := r.peers[r.points[(i+n)%len(r.points)].peer]; !taken(out, p) {
+			out = append(out, p)
 		}
-		taken[pt.peer] = true
-		out = append(out, r.peers[pt.peer])
 	}
 	return out
+}
+
+// taken reports whether p is already in out. out holds at most one
+// entry per peer of the fleet, so a scan beats allocating a set.
+func taken(out []Peer, p Peer) bool {
+	for _, q := range out {
+		if q == p {
+			return true
+		}
+	}
+	return false
 }
 
 // Owner returns the single owning peer for key.

@@ -153,17 +153,15 @@ func TestRingMinimalReassignment(t *testing.T) {
 }
 
 func TestParseRouteMode(t *testing.T) {
-	for in, want := range map[string]RouteMode{"": RouteProxy, "proxy": RouteProxy, "redirect": RouteRedirect} {
-		got, err := ParseRouteMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseRouteMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if got.String() != want.String() {
-			t.Errorf("RouteMode mismatch for %q", in)
+	for _, in := range []string{"", "proxy"} {
+		if got, err := ParseRouteMode(in); err != nil || got != RouteProxy {
+			t.Errorf("ParseRouteMode(%q) = %v, %v; want proxy", in, got, err)
 		}
 	}
-	if _, err := ParseRouteMode("gossip"); err == nil {
-		t.Error("ParseRouteMode(\"gossip\") succeeded, want error")
+	for _, in := range []string{"redirect", "gossip", "Proxy"} {
+		if _, err := ParseRouteMode(in); err == nil {
+			t.Errorf("ParseRouteMode(%q) succeeded, want error", in)
+		}
 	}
 }
 
@@ -192,9 +190,6 @@ func TestNodeConfigValidation(t *testing.T) {
 	defer n.Close()
 	if n.Replication() != DefaultReplication {
 		t.Errorf("Replication = %d, want default %d", n.Replication(), DefaultReplication)
-	}
-	if n.RouteMode() != RouteProxy {
-		t.Errorf("RouteMode = %v, want proxy default", n.RouteMode())
 	}
 	st := n.Status()
 	if len(st.Peers) != 3 || st.Self != peers[0].URL {
@@ -252,10 +247,10 @@ func TestNodeOwnerAgreesAcrossNodes(t *testing.T) {
 		nodes[i] = n
 	}
 	for _, key := range testKeys(200) {
-		owner0, _ := nodes[0].Owner(key)
+		owner0 := nodes[0].ring.Owner(key).URL
 		claiming := 0
 		for _, n := range nodes {
-			if o, _ := n.Owner(key); o != owner0 {
+			if o := n.ring.Owner(key).URL; o != owner0 {
 				t.Fatalf("key %s: node %s says owner %s, node %s says %s",
 					key, nodes[0].Self(), owner0, n.Self(), o)
 			}
@@ -265,6 +260,60 @@ func TestNodeOwnerAgreesAcrossNodes(t *testing.T) {
 		}
 		if claiming != 2 {
 			t.Fatalf("key %s: %d nodes claim ownership, want R=2", key, claiming)
+		}
+	}
+}
+
+// TestNodeForwardToMatchesOwners pins the routing decision against the
+// ring: on a 3-node ring at every replication factor, a node forwards
+// an ID, to the ring owner, exactly when it is not among the ID's
+// owners.
+func TestNodeForwardToMatchesOwners(t *testing.T) {
+	peers := Static(testPeers(3))
+	r, err := NewRing(peers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Capacity: 8})
+	defer svc.Close()
+	for _, rep := range []int{1, 2, 3} {
+		for _, self := range peers {
+			n, err := New(svc, Config{Self: self.URL, Membership: peers, Replication: rep, PollInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			forwarded := 0
+			for _, key := range testKeys(200) {
+				owners := r.Owners(key, rep)
+				holds := false
+				for _, p := range owners {
+					holds = holds || p == self
+				}
+				owner, fwd := n.ForwardTo(key)
+				switch {
+				case fwd == holds:
+					t.Fatalf("R=%d self=%s key=%s: forward=%v, but self in owners %v = %v",
+						rep, self.URL, key, fwd, owners, holds)
+				case fwd && owner != owners[0].URL:
+					t.Fatalf("R=%d self=%s key=%s: forwards to %s, ring owner is %s",
+						rep, self.URL, key, owner, owners[0].URL)
+				case !fwd && owner != "":
+					t.Fatalf("R=%d self=%s key=%s: serves locally but names owner %q", rep, self.URL, key, owner)
+				}
+				if fwd {
+					forwarded++
+				}
+				if n.Owns(key) == fwd {
+					t.Fatalf("R=%d key=%s: Owns disagrees with ForwardTo", rep, key)
+				}
+			}
+			if rep < 3 && forwarded == 0 {
+				t.Errorf("R=%d self=%s: forwarded none of 200 keys", rep, self.URL)
+			}
+			if rep == 3 && forwarded != 0 {
+				t.Errorf("R=3 of 3: forwarded %d keys, want none", forwarded)
+			}
+			n.Close()
 		}
 	}
 }

@@ -12,12 +12,10 @@ import (
 	"privcount/internal/service"
 )
 
-// maxSyncArtifactBytes caps a single pulled artifact, mirroring the
-// limit the HTTP layer enforces on operator PUTs (MaxArtifactBytes in
-// client and internal/service agree on 256 MiB) so a misbehaving peer
-// cannot make the sync agent buffer unbounded data. A literal rather
-// than the client constant: client imports this package for its ring,
-// so the dependency must stay one-way.
+// maxSyncArtifactBytes caps a single pulled artifact at the limit the
+// HTTP layer enforces on operator PUTs (MaxArtifactBytes in client and
+// internal/service agree on 256 MiB), so a misbehaving peer cannot make
+// the sync agent buffer unbounded data.
 const maxSyncArtifactBytes = int64(service.MaxArtifactBytes)
 
 // peerList is the slice of GET /v2/mechanisms the sync agent needs:
@@ -42,9 +40,8 @@ func (n *Node) syncOnce() {
 	}
 }
 
-// SyncNow runs one warm-sync pass synchronously: refresh the ring from
-// the membership, then for every peer fetch the mechanism list and
-// compare each ready ID this node owns or replicates with the local
+// SyncNow runs one warm-sync pass synchronously: for every peer, fetch
+// the mechanism list and compare each ready ID this node owns or replicates with the local
 // copy, by the artifact ETag the list carries. A copy is local when the
 // cache holds it ready or the store holds it: an evicted replica stays
 // a replica and reloads from the store on its next query. Equal ETags
@@ -59,15 +56,9 @@ func (n *Node) syncOnce() {
 // pass still imports everything reachable. Tests drive this directly;
 // production nodes get it from the Start loop.
 func (n *Node) SyncNow(ctx context.Context) error {
-	if err := n.refreshRing(); err != nil {
-		// Keep routing and syncing on the previous ring rather than
-		// halting the fleet on a bad membership read.
-		n.syncErrs.Add(1)
-		return fmt.Errorf("cluster: membership refresh: %w", err)
-	}
 	n.pruneETags()
 	var errs []error
-	for _, p := range n.ring.Load().Peers() {
+	for _, p := range n.ring.peers {
 		if p.URL == n.cfg.Self {
 			continue
 		}

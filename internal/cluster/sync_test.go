@@ -84,7 +84,7 @@ func syncAll(t testing.TB, ctx context.Context, fleet []*testNode) {
 // request at all.
 func TestClusterConvergedPassIsOneListPerPeer(t *testing.T) {
 	counters := []*requestCounter{{}, {}, {}}
-	fleet := startFleet(t, 3, 3, cluster.RouteProxy, countRequests(counters))
+	fleet := startFleet(t, 3, 3, countRequests(counters))
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	specs := gmSpecs(5)
@@ -140,7 +140,7 @@ func TestClusterEvictedReplicaStaysPut(t *testing.T) {
 			sc.Capacity, sc.Shards = capacity, 1
 		}
 	}
-	fleet := startFleet(t, 2, 2, cluster.RouteProxy, small)
+	fleet := startFleet(t, 2, 2, small)
 	a, b := fleet[0], fleet[1]
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -216,7 +216,7 @@ func TestClusterEvictedReplicaStaysPut(t *testing.T) {
 func BenchmarkSyncPassConverged(b *testing.B) {
 	counters := []*requestCounter{{}, {}, {}}
 	big := func(_ int, sc *service.Config, _ *cluster.Config) { sc.Capacity = 256 }
-	fleet := startFleet(b, 3, 3, cluster.RouteProxy, big, countRequests(counters))
+	fleet := startFleet(b, 3, 3, big, countRequests(counters))
 	ctx := context.Background()
 	specs := gmSpecs(64)
 	buildOn(b, fleet[0], specs)

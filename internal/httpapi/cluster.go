@@ -2,14 +2,14 @@
 //
 // A fleet member serves an ID-keyed route itself when it owns or
 // replicates the ID (or already holds the mechanism warm); anything
-// else is sent to the ring owner, either by proxying the request over
-// the node's peer HTTP client or by answering 307 + Location per the
-// node's route mode. A buffered POST /v2/query applies the same rule
-// per op and sends each owner its ops in one hop (forwardHop), whatever
-// the route mode. Routed requests carry cluster.RoutedHeader, and a
-// request arriving with that header is always served locally — two
-// nodes with momentarily divergent rings can therefore disagree about
-// ownership without bouncing a request between each other.
+// else is proxied to the ring owner over the node's peer HTTP client.
+// cluster.Node.ForwardTo makes that decision, once per request. A
+// buffered POST /v2/query asks it once per op and sends each owner its
+// ops in one hop (forwardHop). Routed requests carry
+// cluster.RoutedHeader, and a request arriving with that header is
+// always served locally — two nodes started with different -peers
+// lists can therefore disagree about ownership without bouncing a
+// request between each other.
 
 package httpapi
 
@@ -31,7 +31,7 @@ import (
 // single-box mux it is the identity; on a fleet member it serves
 // locally when this node should hold the mechanism (owner or replica),
 // already holds it warm, or the request was already routed once — and
-// otherwise proxies or redirects to the ring owner.
+// otherwise proxies to the ring owner.
 func (a *api) routed(h http.HandlerFunc) http.HandlerFunc {
 	if a.node == nil {
 		return h
@@ -44,24 +44,13 @@ func (a *api) routed(h http.HandlerFunc) http.HandlerFunc {
 			h(w, r)
 			return
 		}
-		id := spec.ID()
-		if r.Header.Get(cluster.RoutedHeader) != "" || a.node.Owns(id) || a.readyLocally(spec) {
-			h(w, r)
-			return
+		if r.Header.Get(cluster.RoutedHeader) == "" {
+			if owner, ok := a.node.ForwardTo(spec.ID()); ok && !a.readyLocally(spec) {
+				a.proxyTo(w, r, owner)
+				return
+			}
 		}
-		owner, self := a.node.Owner(id)
-		if self {
-			h(w, r)
-			return
-		}
-		if a.node.RouteMode() == cluster.RouteRedirect {
-			// 307 keeps the method and body, so a PUT redirected here
-			// replays as a PUT against the owner.
-			w.Header().Set("Location", owner+r.URL.RequestURI())
-			w.WriteHeader(http.StatusTemporaryRedirect)
-			return
-		}
-		a.proxyTo(w, r, owner)
+		h(w, r)
 	}
 }
 
@@ -131,17 +120,6 @@ func (a *api) writeProxyError(w http.ResponseWriter, owner string, err error) {
 // forwardHopTimeout bounds one forwarded hop independently of the
 // enclosing request: the local fallback needs time left on the clock.
 const forwardHopTimeout = 30 * time.Second
-
-// forwardOwner returns the ring owner of a mechanism this node neither
-// owns nor holds ready, and ok=false when the op should run here.
-func (a *api) forwardOwner(spec service.Spec) (owner string, ok bool) {
-	id := spec.ID()
-	if a.node.Owns(id) {
-		return "", false
-	}
-	owner, self := a.node.Owner(id)
-	return owner, !self
-}
 
 // forwardGroup is the ops of one query batch bound for one owner: their
 // indices in the batch, in batch order.
@@ -220,7 +198,7 @@ func (a *api) getCluster(w http.ResponseWriter, _ *http.Request) {
 		Peers:            st.Peers,
 		Replication:      st.Replication,
 		VirtualNodes:     st.VirtualNodes,
-		RouteMode:        st.RouteMode,
+		RouteMode:        "proxy", // the only mode; the field stays on the wire
 		PollSeconds:      st.PollInterval.Seconds(),
 		SyncPasses:       st.SyncPasses,
 		SyncPulls:        st.SyncPulls,

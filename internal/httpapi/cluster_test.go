@@ -5,9 +5,8 @@ package httpapi
 // the HTTP surface. The full multi-node acceptance suite — warm sync,
 // restart convergence, hostile peers — lives in internal/cluster; these
 // tests pin the routing middleware's own behaviour from the handler
-// package's side: proxy relay, redirect answers, dead-owner 502s,
-// per-owner query forwarding with local fallback, and the /v2/cluster
-// document.
+// package's side: proxy relay, dead-owner 502s, per-owner query
+// forwarding with local fallback, and the /v2/cluster document.
 
 import (
 	"encoding/json"
@@ -27,13 +26,13 @@ import (
 
 // clusterPair boots a two-node fleet with replication 1, so every ID
 // has exactly one owner and the other node must route.
-func clusterPair(t *testing.T, mode cluster.RouteMode) (a, b *httptest.Server, nodeA, nodeB *cluster.Node) {
-	servers, nodes := clusterFleet(t, 2, mode)
+func clusterPair(t *testing.T) (a, b *httptest.Server, nodeA, nodeB *cluster.Node) {
+	servers, nodes := clusterFleet(t, 2)
 	return servers[0], servers[1], nodes[0], nodes[1]
 }
 
 // clusterFleet boots an n-node fleet with replication 1.
-func clusterFleet(t *testing.T, n int, mode cluster.RouteMode) ([]*httptest.Server, []*cluster.Node) {
+func clusterFleet(t *testing.T, n int) ([]*httptest.Server, []*cluster.Node) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Peer, n)
@@ -54,7 +53,6 @@ func clusterFleet(t *testing.T, n int, mode cluster.RouteMode) ([]*httptest.Serv
 			Membership:   cluster.Static(peers),
 			Replication:  1,
 			PollInterval: time.Hour,
-			RouteMode:    mode,
 		})
 		if err != nil {
 			t.Fatalf("cluster.New: %v", err)
@@ -90,7 +88,7 @@ func idOwnedBy(t *testing.T, node *cluster.Node, want bool) string {
 // the non-owner is relayed to the owner, which builds; the non-owner's
 // service stays untouched.
 func TestRoutedProxyRelaysToOwner(t *testing.T) {
-	a, _, nodeA, nodeB := clusterPair(t, cluster.RouteProxy)
+	a, _, nodeA, nodeB := clusterPair(t)
 	id := idOwnedBy(t, nodeA, false) // A must proxy it to B
 	if !nodeB.Owns(id) {
 		t.Fatalf("ring disagreement: neither node owns %s", id)
@@ -120,36 +118,11 @@ func TestRoutedProxyRelaysToOwner(t *testing.T) {
 	}
 }
 
-// TestRoutedRedirectAnswers307 pins redirect mode: the non-owner
-// answers 307 with the owner's URL and does not touch its own service.
-func TestRoutedRedirectAnswers307(t *testing.T) {
-	a, b, nodeA, _ := clusterPair(t, cluster.RouteRedirect)
-	id := idOwnedBy(t, nodeA, false)
-	nofollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	req, err := http.NewRequest(http.MethodPut, a.URL+"/v2/mechanisms/"+id, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := nofollow.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("status %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, b.URL) {
-		t.Errorf("Location %q does not point at owner %s", loc, b.URL)
-	}
-}
-
 // TestRoutedDeadOwnerIs502 pins writeProxyError: when the ring owner is
 // unreachable the proxying node answers 502 with the retryable
 // build_canceled code.
 func TestRoutedDeadOwnerIs502(t *testing.T) {
-	a, b, nodeA, _ := clusterPair(t, cluster.RouteProxy)
+	a, b, nodeA, _ := clusterPair(t)
 	id := idOwnedBy(t, nodeA, false)
 	b.Close() // the owner goes away
 	resp, err := http.Get(a.URL + "/v2/mechanisms/" + id)
@@ -177,7 +150,7 @@ func TestRoutedDeadOwnerIs502(t *testing.T) {
 // and when one owner is dead only its group falls back to a local solve
 // instead of failing.
 func TestQueryForwardsOpsAndFallsBack(t *testing.T) {
-	servers, nodes := clusterFleet(t, 3, cluster.RouteProxy)
+	servers, nodes := clusterFleet(t, 3)
 	idB, idC := idOwnedBy(t, nodes[1], true), idOwnedBy(t, nodes[2], true)
 	ca, err := client.New(servers[0].URL)
 	if err != nil {
@@ -243,7 +216,7 @@ func scrapeMetrics(t *testing.T, url string) string {
 // TestGetClusterDocument pins the /v2/cluster response shape against
 // the node's own status.
 func TestGetClusterDocument(t *testing.T) {
-	a, _, nodeA, _ := clusterPair(t, cluster.RouteProxy)
+	a, _, nodeA, _ := clusterPair(t)
 	resp, err := http.Get(a.URL + "/v2/cluster")
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +242,7 @@ func TestGetClusterDocument(t *testing.T) {
 // a request carrying the routed header is answered locally even for a
 // non-owned ID (here: 404 not_admitted, since nothing is cached).
 func TestRoutedHeaderServesLocally(t *testing.T) {
-	a, _, nodeA, _ := clusterPair(t, cluster.RouteProxy)
+	a, _, nodeA, _ := clusterPair(t)
 	id := idOwnedBy(t, nodeA, false)
 	req, err := http.NewRequest(http.MethodGet, a.URL+"/v2/mechanisms/"+id, nil)
 	if err != nil {

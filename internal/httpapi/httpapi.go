@@ -83,9 +83,9 @@ import (
 type api struct {
 	svc *service.Service
 
-	// node, when non-nil, is the cluster membership this mux routes
-	// with: ID-keyed routes for mechanisms this node does not own are
-	// proxied or redirected to the owner (see cluster.go).
+	// node, when non-nil, is the cluster node this mux routes with:
+	// ID-keyed routes and query ops for mechanisms this node neither
+	// owns nor replicates go to the owner (see cluster.go).
 	node *cluster.Node
 
 	// requests counts finished requests by route pattern and HTTP status
@@ -125,10 +125,10 @@ func NewMuxWithMetrics(svc *service.Service, reg *metrics.Registry) *http.ServeM
 }
 
 // NewMuxWithCluster is NewMuxWithMetrics for a fleet member: requests
-// for mechanism IDs that node does not own are proxied or redirected to
-// the ring owner, GET /v2/cluster serves the node's cluster status, and
-// the privcount_cluster_* series are registered on reg. A nil node
-// yields the plain single-box mux.
+// for mechanism IDs that node does not own are proxied to the ring
+// owner, GET /v2/cluster serves the node's cluster status, and the
+// privcount_cluster_* series are registered on reg. A nil node yields
+// the plain single-box mux.
 func NewMuxWithCluster(svc *service.Service, reg *metrics.Registry, node *cluster.Node) *http.ServeMux {
 	svc.RegisterMetrics(reg)
 	a := &api{
@@ -638,7 +638,7 @@ func (a *api) postQuery(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if mayForward {
-			if owner, ok := a.forwardOwner(spec); ok {
+			if owner, ok := a.node.ForwardTo(spec.ID()); ok {
 				groups = addToGroup(groups, owner, i)
 				continue
 			}
