@@ -400,14 +400,23 @@ func appendCount(b []byte, v int) ([]byte, error) {
 
 // appendCounts encodes vs as a length-prefixed uvarint vector, checking
 // each count in the loop rather than through appendCount, which does
-// not inline.
+// not inline. It grows b by two bytes a count once and writes one- and
+// two-byte varints directly, so a vector of counts below 2¹⁴ (every
+// admitted mechanism's) appends without regrowing.
 func appendCounts(b []byte, vs []int) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(vs)))
+	b = slices.Grow(b, 2*len(vs))
 	for _, v := range vs {
-		if v < 0 {
+		switch {
+		case v < 0:
 			return nil, fmt.Errorf("client: negative count %d not encodable", v)
+		case v < 0x80:
+			b = append(b, byte(v))
+		case v < 0x4000:
+			b = append(b, byte(v)|0x80, byte(v>>7))
+		default:
+			b = binary.AppendUvarint(b, uint64(v))
 		}
-		b = binary.AppendUvarint(b, uint64(v))
 	}
 	return b, nil
 }
@@ -476,10 +485,12 @@ func (d *decoder) count() int {
 
 // counts decodes a length-prefixed int vector into dst's capacity. A
 // zero-length vector yields nil, matching JSON omitempty round trips.
-// One-byte varints (about 80% of the counts a query-stream mix
-// carries) are decoded inline, which halves the decode cost against
-// binary.Uvarint alone; an error leaves the read position where count
-// would.
+// One- and two-byte varints are decoded inline. A two-byte varint holds
+// any value below 2¹⁴, so it covers every count and output of an
+// admitted mechanism (n ≤ service.MaxN = 4096); a query-stream mix
+// carries about 80% of them in one byte. Longer, truncated or overlong
+// input falls back to binary.Uvarint; an error leaves the read position
+// where count would.
 func (d *decoder) counts(dst []int) []int {
 	k := d.uvarint()
 	if k == 0 || d.err != nil {
@@ -498,6 +509,11 @@ func (d *decoder) counts(dst []int) []int {
 		if len(buf) > 0 && buf[0] < 0x80 {
 			out[i] = int(buf[0])
 			buf = buf[1:]
+			continue
+		}
+		if len(buf) > 1 && buf[1] < 0x80 {
+			out[i] = int(buf[0]&0x7f) | int(buf[1])<<7
+			buf = buf[2:]
 			continue
 		}
 		v, w := binary.Uvarint(buf)

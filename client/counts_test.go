@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The count-vector codec as it was before its one-byte fast paths: one
+// The count-vector codec as it was before its inline fast paths: one
 // appendCount and one count call per element. The tests below hold the
 // fast codec to it byte for byte, value for value and error for error.
 
@@ -112,6 +112,7 @@ func TestCountsCodecMatchesReference(t *testing.T) {
 		{math.MaxInt32 + 1},                  // encodable, rejected on decode
 		{3, -1, 4},                           // negative mid-vector
 		{-0x80},
+		{0x7f, 0x80, 0x3fff, 0x4000, 0x1fffff, 0x200000}, // 1/2/3/4-byte boundaries
 	} {
 		got, gotErr := appendCounts([]byte{0xaa}, vs)
 		want, wantErr := refAppendCounts([]byte{0xaa}, vs)
@@ -133,6 +134,8 @@ func TestCountsCodecMatchesReference(t *testing.T) {
 		"overlong varint":        {1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		"count out of range":     {3, 1, 0x80, 0x80, 0x80, 0x80, 0x08, 2},
 		"trailing bytes kept":    {2, 1, 0x81, 0x01, 9, 9},
+		"non-minimal 2-byte":     {2, 0x80, 0x00, 5},
+		"lone continuation last": {2, 7, 0x85},
 	} {
 		t.Run(name, func(t *testing.T) { checkDecodeMatches(t, payload) })
 	}
@@ -146,6 +149,7 @@ func FuzzCountsCodec(f *testing.F) {
 	f.Add([]byte{2, 0x80, 0x01, 0xff, 0xff, 0xff, 0xff, 0x07})
 	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x08})
 	f.Add([]byte{5, 1})
+	f.Add([]byte{2, 3, 0xff, 0x7f}) // a 2-byte count ending the frame
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecodeMatches(t, payload)
 		vs := make([]int, len(payload)/4)

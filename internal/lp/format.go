@@ -212,8 +212,15 @@ func ParseLP(src string) (*Model, error) {
 				return nil, fmt.Errorf("lp: objective missing ';': %w", ErrBadModel)
 			}
 			i = j + 1
-			for name, c := range expr.coeffs {
-				if err := m.SetObjective(varOf(name), c); err != nil {
+			// Sorted, as constraint terms are, so variable indices do
+			// not follow map order.
+			names := make([]string, 0, len(expr.coeffs))
+			for name := range expr.coeffs {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for _, name := range names {
+				if err := m.SetObjective(varOf(name), expr.coeffs[name]); err != nil {
 					return nil, err
 				}
 			}

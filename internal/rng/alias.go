@@ -3,6 +3,7 @@ package rng
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Vose builds alias tables (Vose's alias method) into caller-owned
@@ -184,26 +185,42 @@ func (s AliasSlab) sampleInto(src Source, cols []int, c int, dst []int) {
 	}
 }
 
-// sampleRand is sampleInto's loop for a *Rand: the same draws, called
-// directly instead of through Source.
+// sampleRand is sampleInto's loop for a *Rand: the same draws, with
+// r's state held in locals, so it stays in registers, and written back
+// at exit or before a panic. Each draw is uint64n(k) then one step for
+// the uniform, written out here because uint64n is over the inliner's
+// budget: the loop makes no call outside Lemire's rare rejection and
+// the panic.
 func (s AliasSlab) sampleRand(r *Rand, cols []int, c int, dst []int) {
-	k, stride, prob, alias := s.k, s.stride, s.prob, s.alias[:len(s.prob)]
+	hi, lo := r.hi, r.lo
+	k, stride, prob, alias := uint64(s.k), s.stride, s.prob, s.alias[:len(s.prob)]
 	for i := range dst {
 		if cols != nil {
 			c = cols[i]
 		}
 		if uint(c) >= uint(s.cols) {
+			r.hi, r.lo = hi, lo
 			panicColumn(c, s.cols)
 		}
-		x := int(r.uint64n(uint64(k)))
-		u := r.Float64()
-		off := c*stride + x
+		var x, v uint64
+		hi, lo, v = step(hi, lo)
+		if k&(k-1) == 0 {
+			x = v & (k - 1)
+		} else {
+			var low uint64
+			if x, low = bits.Mul64(v, k); low < k {
+				hi, lo, x = lemireReject(hi, lo, k, x, low)
+			}
+		}
+		hi, lo, v = step(hi, lo)
+		off := c*stride + int(x)
 		p, a := prob[off], int(alias[off])
-		if u < p {
-			a = x
+		if unit(v) < p {
+			a = int(x)
 		}
 		dst[i] = a
 	}
+	r.hi, r.lo = hi, lo
 }
 
 // panicColumn is kept out of line so the kernel's loop stays small.

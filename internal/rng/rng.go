@@ -7,6 +7,11 @@
 // Experiments in the paper are repeated 30–50 times with error bars; every
 // sampler here is deterministic given a Source seed so that experiment
 // output is reproducible run-to-run.
+//
+// The generator's step is one pure function of its two state words, so
+// the alias draw kernel keeps the state in registers across a batch
+// instead of storing and reloading it each draw; its draws, and so
+// every seeded stream, are those of Rand's methods.
 package rng
 
 import (
@@ -29,9 +34,9 @@ type Source interface {
 }
 
 // Rand is a seeded, reproducible source: math/rand/v2's PCG-DXSM
-// generator with its 128-bit state held inline, so a draw is a direct,
-// inlinable call. Uint64, Float64 and IntN
-// reproduce math/rand/v2's algorithms exactly, and Perm and Shuffle run
+// generator with its 128-bit state held inline. Uint64 and Float64 are
+// inlinable calls; IntN calls uint64n, out of line. Uint64, Float64 and
+// IntN reproduce math/rand/v2's algorithms exactly, and Perm and Shuffle run
 // math/rand/v2's own code over the same state, so every stream is
 // bit-for-bit that of rand.New(rand.NewPCG(...)) seeded the same way.
 // A Rand is not safe for concurrent use; create one per goroutine (Split
@@ -59,57 +64,80 @@ func (r *Rand) Split(id uint64) *Rand {
 	return &Rand{hi: hi ^ id, lo: id*0xbf58476d1ce4e5b9 + 1}
 }
 
-// Uint64 returns a uniform 64-bit value: one step of the 128-bit LCG
-// followed by the DXSM output function, as math/rand/v2's PCG.Uint64.
-func (r *Rand) Uint64() uint64 {
-	const (
-		mulHi = 2549297995355413924
-		mulLo = 4865540595714422341
-		incHi = 6364136223846793005
-		incLo = 1442695040888963407
-	)
-	// state = state * mul + inc
-	hi, lo := bits.Mul64(r.lo, mulLo)
-	hi += r.hi*mulLo + r.lo*mulHi
-	lo, c := bits.Add64(lo, incLo, 0)
-	hi, _ = bits.Add64(hi, incHi, c)
-	r.lo, r.hi = lo, hi
-
-	// DXSM "double xorshift multiply".
-	const cheapMul = 0xda942042e4dd58b5
-	hi ^= hi >> 32
-	hi *= cheapMul
-	hi ^= hi >> 48
-	hi *= lo | 1
-	return hi
+// Uint64 returns a uniform 64-bit value: one PCG step, as math/rand/v2's
+// PCG.Uint64.
+func (r *Rand) Uint64() (v uint64) {
+	r.hi, r.lo, v = step(r.hi, r.lo)
+	return
 }
 
 // Float64 returns a uniform value in [0, 1): the low 53 bits of one
 // Uint64 over 2⁵³, as math/rand/v2's Rand.Float64.
-func (r *Rand) Float64() float64 { return float64(r.Uint64()<<11>>11) / (1 << 53) }
+func (r *Rand) Float64() float64 { return unit(r.Uint64()) }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) IntN(n int) int {
 	if n <= 0 {
 		panic("invalid argument to IntN")
 	}
-	return int(r.uint64n(uint64(n)))
+	var v uint64
+	r.hi, r.lo, v = uint64n(r.hi, r.lo, uint64(n))
+	return int(v)
 }
 
-// uint64n is math/rand/v2's Rand.uint64n: a mask for powers of two,
-// otherwise Lemire's multiply-shift with the same rejection threshold.
-func (r *Rand) uint64n(n uint64) uint64 {
+// step is the PCG generator as a pure function of its state: one step
+// of the 128-bit LCG from (hi, lo), then the DXSM output function of the
+// new state, as math/rand/v2's PCG.Uint64. A draw loop passes the state
+// through it in locals, so the state stays in registers.
+func step(hi, lo uint64) (nhi, nlo, v uint64) {
+	const (
+		mulHi = 2549297995355413924
+		mulLo = 4865540595714422341
+		incHi = 6364136223846793005
+		incLo = 1442695040888963407
+	)
+	// state = state * mul + inc, mod 2¹²⁸
+	nhi, nlo = bits.Mul64(lo, mulLo)
+	nlo, c := bits.Add64(nlo, incLo, 0)
+	nhi += hi*mulLo + lo*mulHi + incHi + c
+
+	// DXSM "double xorshift multiply".
+	v = (nhi ^ nhi>>32) * 0xda942042e4dd58b5
+	v = (v ^ v>>48) * (nlo | 1)
+	return
+}
+
+// unit maps one step's output to [0, 1), as Float64.
+func unit(v uint64) float64 { return float64(v<<11>>11) / (1 << 53) }
+
+// uint64n is math/rand/v2's Rand.uint64n over the state (hi, lo): one
+// step, masked for a power-of-two n, otherwise reduced by Lemire's
+// multiply-shift, whose rare rejection runs out of line. It returns the
+// advanced state and a uniform value in [0, n).
+func uint64n(hi, lo, n uint64) (nhi, nlo, v uint64) {
+	hi, lo, v = step(hi, lo)
 	if n&(n-1) == 0 {
-		return r.Uint64() & (n - 1)
+		return hi, lo, v & (n - 1)
 	}
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+	prod, low := bits.Mul64(v, n)
+	if low < n {
+		return lemireReject(hi, lo, n, prod, low)
 	}
-	return hi
+	return hi, lo, prod
+}
+
+// lemireReject finishes a Lemire reduction whose product's low half
+// fell below n: it steps again while the low half is under the
+// threshold 2⁶⁴ mod n, and returns the state and the accepted high half.
+//
+//go:noinline
+func lemireReject(hi, lo, n, prod, low uint64) (nhi, nlo, v uint64) {
+	thresh := -n % n
+	for low < thresh {
+		hi, lo, v = step(hi, lo)
+		prod, low = bits.Mul64(v, n)
+	}
+	return hi, lo, prod
 }
 
 // Perm returns a random permutation of [0, n), drawn by math/rand/v2's

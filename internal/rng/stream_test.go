@@ -38,7 +38,9 @@ func TestRandMatchesMathRand(t *testing.T) {
 		// Above 2⁶³ only the unexported reduction is reachable; its
 		// rejection loop runs on about half of these draws.
 		for _, n := range []uint64{1<<63 + 1, 1<<63 + 12345, math.MaxUint64} {
-			if g, w := got.uint64n(n), want.Uint64N(n); g != w {
+			var g uint64
+			got.hi, got.lo, g = uint64n(got.hi, got.lo, n)
+			if w := want.Uint64N(n); g != w {
 				t.Fatalf("seed %d: uint64n(%d) = %d, math/rand/v2 %d", seed, n, g, w)
 			}
 		}
@@ -65,6 +67,37 @@ func TestRandMatchesMathRand(t *testing.T) {
 		// The streams still agree after every call above.
 		if g, w := got.Uint64(), want.Uint64(); g != w {
 			t.Fatalf("seed %d: streams diverged: %d, math/rand/v2 %d", seed, g, w)
+		}
+	}
+}
+
+// TestUint64nMatchesMathRand holds the state-passing uint64n to
+// math/rand/v2's PCG and Uint64N over 10⁴ draws from one seed, at n = 3
+// and at n = 2⁶³+1, where about half the draws take lemireReject: the
+// draw kernel's table sizes practically never reach that path.
+func TestUint64nMatchesMathRand(t *testing.T) {
+	const seed, draws = 29, 10000
+	for _, n := range []uint64{3, 1<<63 + 1} {
+		r, want := New(seed), refRand(seed)
+		hi, lo := r.hi, r.lo
+		rejected := 0
+		for i := 0; i < draws; i++ {
+			nextHi, nextLo, _ := step(hi, lo)
+			var g uint64
+			hi, lo, g = uint64n(hi, lo, n)
+			if w := want.Uint64N(n); g != w {
+				t.Fatalf("n=%d draw %d: uint64n = %d, math/rand/v2 %d", n, i, g, w)
+			}
+			if hi != nextHi || lo != nextLo {
+				rejected++
+			}
+		}
+		r.hi, r.lo = hi, lo
+		if g, w := r.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("n=%d: streams diverged after the draws: %d, math/rand/v2 %d", n, g, w)
+		}
+		if n > 1<<63 && rejected < draws/3 {
+			t.Errorf("n=%d: %d of %d draws rejected, want about half", n, rejected, draws)
 		}
 	}
 }

@@ -105,7 +105,8 @@ func (s *FSStore) Get(id string) ([]byte, error) {
 // Put atomically replaces the stored artifact for id: the bytes are
 // written to a temp file in the same directory, fsynced, and renamed
 // into place, then the directory is fsynced so the entry survives a
-// crash.
+// crash. The temp file is removed only when a step before the rename
+// fails.
 func (s *FSStore) Put(id string, data []byte) error {
 	if err := s.checkID(id); err != nil {
 		return err
@@ -114,7 +115,12 @@ func (s *FSStore) Put(id string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("service: stage artifact %s: %w", id, err)
 	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
+	published := false
+	defer func() {
+		if !published {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("service: write artifact %s: %w", id, err)
@@ -133,6 +139,7 @@ func (s *FSStore) Put(id string, data []byte) error {
 	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
 		return fmt.Errorf("service: publish artifact %s: %w", id, err)
 	}
+	published = true
 	return s.syncDir()
 }
 
