@@ -799,6 +799,82 @@ func TestClusterSyncComparesRebuiltCopy(t *testing.T) {
 	}
 }
 
+// TestClusterSyncSeesReimportedCopy: an import over a ready entry
+// changes the bytes the node serves, and the next pass compares the
+// peer's listed ETag with the new install, not the one the previous
+// pass agreed with.
+func TestClusterSyncSeesReimportedCopy(t *testing.T) {
+	spec, err := service.ParseSpec("lp:n=4:a=0.5:RH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var other atomic.Int64
+	etag := trueETag(t, spec)
+	peer := listingPeer(t, spec.ID(), etag, &other)
+	svc := readyService(t, spec, service.Config{Capacity: 8})
+	node := nodeWithPeer(t, svc, peer.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := node.SyncNow(ctx); err != nil {
+		t.Fatalf("SyncNow: %v", err)
+	}
+	if st := node.Status(); st.SyncConflicts != 0 || st.SyncPulls != 0 || st.SyncErrors != 0 {
+		t.Fatalf("pass 1: conflicts=%d pulls=%d errors=%d, want 0, 0, 0", st.SyncConflicts, st.SyncPulls, st.SyncErrors)
+	}
+
+	// Re-import a column-stochastic variant over the ready entry: two
+	// cells of column 0 swapped.
+	data, err := svc.ExportArtifact(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := service.DecodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := spec.N + 1
+	a.Probs[0], a.Probs[k] = a.Probs[k], a.Probs[0]
+	if _, err := svc.ImportArtifact(spec, a.Encode()); err != nil {
+		t.Fatalf("import the variant: %v", err)
+	}
+	if got, err := svc.ExportETag(spec); err != nil || got == etag {
+		t.Fatalf("ETag after import = %q, %v; want one that differs from %q", got, err, etag)
+	}
+
+	if err := node.SyncNow(ctx); err != nil {
+		t.Fatalf("second SyncNow: %v", err)
+	}
+	if st := node.Status(); st.SyncConflicts != 1 || st.SyncPulls != 0 {
+		t.Fatalf("pass 2: conflicts=%d pulls=%d, want 1, 0", st.SyncConflicts, st.SyncPulls)
+	}
+	if n := other.Load(); n != 0 {
+		t.Fatalf("sync sent %d requests besides the list, want 0", n)
+	}
+}
+
+// TestClusterSyncUnparseableListedID: a peer listing an ID that is not
+// a spec is a counted sync error, and no artifact is requested for it.
+func TestClusterSyncUnparseableListedID(t *testing.T) {
+	var other atomic.Int64
+	peer := listingPeer(t, "not-a-spec", `"deadbeef"`, &other)
+	svc := service.New(service.Config{Capacity: 8})
+	defer svc.Close()
+	node := nodeWithPeer(t, svc, peer.URL)
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := node.SyncNow(ctx); err == nil {
+		t.Fatal("SyncNow succeeded against a peer listing an unparseable ID")
+	}
+	if st := node.Status(); st.SyncErrors != 1 || st.SyncPulls != 0 || st.SyncRejects != 0 {
+		t.Fatalf("errors=%d pulls=%d rejects=%d, want 1, 0, 0", st.SyncErrors, st.SyncPulls, st.SyncRejects)
+	}
+	if n := other.Load(); n != 0 {
+		t.Fatalf("sync sent %d requests besides the list, want 0", n)
+	}
+}
+
 // TestClusterSyncRejectsForgedClosedForm: a peer serving a gm artifact
 // whose matrix is column-stochastic but not GM's (two cells of column 0
 // swapped) is refused on sync and counted as a reject.
