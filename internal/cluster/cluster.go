@@ -73,9 +73,10 @@ const DefaultReplication = 2
 const DefaultPollInterval = 5 * time.Second
 
 // Node is one privcountd instance's view of the fleet: the ring, the
-// warm-sync agent, and the routing decision the HTTP layer asks. Create
-// with New, start the sync loop with Start, and Close before the
-// service shuts down.
+// warm-sync agent, and the routing decision the HTTP layer asks. Beyond
+// its counters the node keeps no per-mechanism state: what it holds is
+// the service's to answer (Service.HeldETag). Create with New, start
+// the sync loop with Start, and Close before the service shuts down.
 type Node struct {
 	svc  *service.Service
 	cfg  Config
@@ -88,14 +89,6 @@ type Node struct {
 	syncErrs  atomic.Int64 // peers whose poll or pulls errored in a pass
 	syncs     atomic.Int64 // completed sync passes
 	lastSync  atomic.Int64 // unix nanos of the last completed pass
-
-	// etags caches the canonical artifact ETag of each local copy this
-	// node owns — a ready cache entry or a stored artifact — so a sync
-	// pass compares it with the peers' listed ETags without re-encoding
-	// or re-reading anything. Keyed by Spec ID; pruned each pass against
-	// the ready entries and the store's IDs.
-	etagMu sync.Mutex
-	etags  map[string]heldTag
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -141,11 +134,10 @@ func New(svc *service.Service, cfg Config) (*Node, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	return &Node{
-		svc:   svc,
-		cfg:   cfg,
-		ring:  ring,
-		etags: make(map[string]heldTag),
-		done:  make(chan struct{}),
+		svc:  svc,
+		cfg:  cfg,
+		ring: ring,
+		done: make(chan struct{}),
 	}, nil
 }
 

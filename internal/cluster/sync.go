@@ -41,22 +41,23 @@ func (n *Node) syncOnce() {
 }
 
 // SyncNow runs one warm-sync pass synchronously: for every peer, fetch
-// the mechanism list and compare each ready ID this node owns or replicates with the local
-// copy, by the artifact ETag the list carries. A copy is local when the
-// cache holds it ready or the store holds it: an evicted replica stays
-// a replica and reloads from the store on its next query. Equal ETags
-// are agreement and send nothing; an ID held nowhere locally is pulled;
-// a different ETag is counted as a conflict and the local copy is kept
-// — artifacts are content-addressed and every build, LP solves
-// included, is a function of its spec alone, so a conflict signals
-// peer divergence worth alerting on, not data to merge. A converged
-// pass is therefore one list request per peer.
+// the mechanism list and compare each ready ID this node owns or
+// replicates with the local copy, by the artifact ETag the list
+// carries. The service names the local copy (Service.HeldETag): the
+// ready cache entry, else the artifact in the store, so an evicted
+// replica stays a replica and reloads from the store on its next query.
+// Equal ETags are agreement and send nothing; an ID held nowhere
+// locally is pulled; a different ETag is counted as a conflict and the
+// local copy is kept — artifacts are content-addressed and every build,
+// LP solves included, is a function of its spec alone, so a conflict
+// signals peer divergence worth alerting on, not data to merge. A
+// converged pass is therefore one list request per peer, and the agent
+// keeps no per-ID state between passes.
 //
 // The returned error aggregates per-peer failures; a partially failed
 // pass still imports everything reachable. Tests drive this directly;
 // production nodes get it from the Start loop.
 func (n *Node) SyncNow(ctx context.Context) error {
-	n.pruneETags()
 	var errs []error
 	for _, p := range n.ring.peers {
 		if p.URL == n.cfg.Self {
@@ -85,10 +86,17 @@ func (n *Node) syncPeer(ctx context.Context, peerURL string) error {
 		if m.State != "ready" || !n.Owns(m.ID) {
 			continue
 		}
-		local, held := n.localETag(m.ID)
+		spec, err := service.ParseSpec(m.ID)
+		if err != nil {
+			// A peer's list is outside input: a bad ID is an error,
+			// not a pull.
+			errs = append(errs, fmt.Errorf("%s: listed id: %w", m.ID, err))
+			continue
+		}
+		local, held := n.svc.HeldETag(spec)
 		switch {
 		case !held:
-			if err := n.pullArtifact(ctx, peerURL, m.ID); err != nil {
+			if err := n.pullArtifact(ctx, peerURL, spec); err != nil {
 				errs = append(errs, fmt.Errorf("%s: %w", m.ID, err))
 			}
 		case m.ETag == "":
@@ -132,9 +140,9 @@ func (n *Node) fetchList(ctx context.Context, peerURL string) (*peerList, error)
 // pullArtifact fetches one artifact this node does not hold from a
 // peer and imports it through the service's decode→verify→install
 // path.
-func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
+func (n *Node) pullArtifact(ctx context.Context, peerURL string, spec service.Spec) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		peerURL+"/v2/mechanisms/"+id+"/artifact", nil)
+		peerURL+"/v2/mechanisms/"+spec.ID()+"/artifact", nil)
 	if err != nil {
 		return err
 	}
@@ -162,11 +170,6 @@ func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
 		n.rejects.Add(1)
 		return fmt.Errorf("artifact: exceeds %d bytes", maxSyncArtifactBytes)
 	}
-	spec, err := service.ParseSpec(id)
-	if err != nil {
-		n.rejects.Add(1)
-		return fmt.Errorf("artifact: %w", err)
-	}
 	if _, err := n.svc.ImportArtifact(spec, data); err != nil {
 		// Same trust boundary as an operator PUT: decode, spec
 		// cross-check, and full re-verification all ran and failed.
@@ -175,77 +178,5 @@ func (n *Node) pullArtifact(ctx context.Context, peerURL, id string) error {
 	}
 	n.pulls.Add(1)
 	n.pullBytes.Add(int64(len(data)))
-	n.setETag(id, heldTag{etag: service.ArtifactETag(data)})
 	return nil
-}
-
-// heldTag is the ETag of a local copy and where it was read: from the
-// ready cache entry's install, or from the bytes in the store.
-type heldTag struct {
-	etag   string
-	stored bool
-}
-
-// localETag returns the content ETag of the local copy of id — the
-// ready cache entry's, else the stored artifact's — or ok=false when
-// this node holds neither. The result is cached per ID and reused
-// across peers and passes (pruneETags drops it once the copy is gone),
-// so each ETag is computed, or its stored bytes read, once.
-func (n *Node) localETag(id string) (etag string, ok bool) {
-	n.etagMu.Lock()
-	h, ok := n.etags[id]
-	n.etagMu.Unlock()
-	if ok {
-		return h.etag, true
-	}
-	spec, err := service.ParseSpec(id)
-	if err != nil {
-		return "", false
-	}
-	if h.etag, err = n.svc.ExportETag(spec); err != nil {
-		// Not ready in the cache: an evicted replica's durable copy
-		// may still be in the store.
-		if h.etag, err = n.svc.StoredETag(spec); err != nil {
-			return "", false
-		}
-		h.stored = true
-	}
-	n.setETag(id, h)
-	return h.etag, true
-}
-
-func (n *Node) setETag(id string, h heldTag) {
-	n.etagMu.Lock()
-	n.etags[id] = h
-	n.etagMu.Unlock()
-}
-
-// pruneETags runs at the start of a pass. It drops cached ETags for IDs
-// this node no longer holds — neither ready in the cache nor in the
-// store — so an eviction or a quarantine is re-observed. A tag read
-// from the store is also dropped once the ID is ready in the cache, so
-// the pass compares the install that serves it (a quarantined stored
-// copy's rebuild, say).
-func (n *Node) pruneETags() {
-	ready := make(map[string]bool)
-	for _, info := range n.svc.Entries() {
-		if info.State == service.BuildReady {
-			ready[info.Spec.ID()] = true
-		}
-	}
-	ids, err := n.svc.StoredIDs()
-	if err != nil {
-		n.cfg.Logf("cluster: list store: %v", err)
-	}
-	stored := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		stored[id] = true
-	}
-	n.etagMu.Lock()
-	for id, h := range n.etags {
-		if ready[id] && h.stored || !ready[id] && !stored[id] {
-			delete(n.etags, id)
-		}
-	}
-	n.etagMu.Unlock()
 }

@@ -118,7 +118,7 @@ func TestClusterConvergedPassIsOneListPerPeer(t *testing.T) {
 
 // waitStored waits until the store holds n artifacts: imports persist
 // in the background.
-func waitStored(t *testing.T, store *service.MemStore, n int) {
+func waitStored(t testing.TB, store *service.MemStore, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for store.Len() < n {
@@ -210,20 +210,50 @@ func TestClusterEvictedReplicaStaysPut(t *testing.T) {
 	}
 }
 
-// BenchmarkSyncPassConverged times one SyncNow over a converged
-// three-node, R=3 fleet holding 64 ready mechanisms, and reports the
-// peer requests the pass sends (one list per peer when converged).
+// readCounter is a Store that counts its Get calls.
+type readCounter struct {
+	service.Store
+	gets atomic.Int64
+}
+
+func (r *readCounter) Get(id string) ([]byte, error) {
+	r.gets.Add(1)
+	return r.Store.Get(id)
+}
+
+// BenchmarkSyncPassConverged times one SyncNow on a replica of a
+// converged three-node, R=3 fleet holding 64 ready mechanisms, and
+// reports the peer requests the pass sends (one list per peer when
+// converged) and the replica's store reads. In "ready" the replica
+// caches every ID, so a pass reads nothing; in "evicted" its cache holds
+// 8, so a pass re-reads and hashes the stored copy of each evicted ID
+// once per peer that lists it.
 func BenchmarkSyncPassConverged(b *testing.B) {
+	b.Run("ready", func(b *testing.B) { benchSyncPass(b, 256, 0) })
+	b.Run("evicted", func(b *testing.B) { benchSyncPass(b, 8, 1) })
+}
+
+// benchSyncPass runs BenchmarkSyncPassConverged with the replica's
+// cache at capacity entries over shards (0: the default).
+func benchSyncPass(b *testing.B, capacity, shards int) {
 	counters := []*requestCounter{{}, {}, {}}
-	big := func(_ int, sc *service.Config, _ *cluster.Config) { sc.Capacity = 256 }
-	fleet := startFleet(b, 3, 3, big, countRequests(counters))
+	var reads *readCounter
+	sizes := func(i int, sc *service.Config, _ *cluster.Config) {
+		sc.Capacity = 256
+		if i == 1 {
+			sc.Capacity, sc.Shards = capacity, shards
+			reads = &readCounter{Store: sc.Store}
+			sc.Store = reads
+		}
+	}
+	fleet := startFleet(b, 3, 3, sizes, countRequests(counters))
 	ctx := context.Background()
 	specs := gmSpecs(64)
 	buildOn(b, fleet[0], specs)
 	syncAll(b, ctx, fleet)
-	syncAll(b, ctx, fleet) // every ETag cached on both sides
+	waitStored(b, fleet[1].store, len(specs))
 	node, c := fleet[1].node, counters[1]
-	start := c.total()
+	start, startReads := c.total(), reads.gets.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -233,6 +263,7 @@ func BenchmarkSyncPassConverged(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(c.total()-start)/float64(b.N), "requests/pass")
+	b.ReportMetric(float64(reads.gets.Load()-startReads)/float64(b.N), "store_reads/pass")
 	if st := node.Status(); st.SyncPulls != int64(len(specs)) {
 		b.Fatalf("pulls = %d, want %d", st.SyncPulls, len(specs))
 	}

@@ -55,9 +55,10 @@ func (a *api) routed(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // readyLocally reports whether this node already holds the mechanism
-// warm — a non-owner with a cached copy (a replica that just shed the
-// ID in a ring change, say) keeps serving it rather than bouncing
-// traffic to the owner.
+// warm, so a non-owner with a ready copy serves it rather than bouncing
+// traffic to the owner. The ring is fixed at start, so a non-owner gets
+// one two ways: a local fallback run after a failed hop to the owner,
+// or a routed request from a node started with another -peers list.
 func (a *api) readyLocally(spec service.Spec) bool {
 	e, err := a.svc.Peek(spec)
 	return err == nil && e.State() == service.BuildReady

@@ -97,8 +97,8 @@ func TestSolveCtxCancelCausePropagates(t *testing.T) {
 }
 
 // TestIterationLimitSentinel pins the first-class termination error: the
-// iteration limit surfaces as ErrIterationLimit (and its deprecated
-// alias) with the matching status, classified by Cause.
+// iteration limit surfaces as ErrIterationLimit with the matching
+// status, classified by Cause.
 func TestIterationLimitSentinel(t *testing.T) {
 	m := buildChain(t, 64)
 	sol, err := m.SolveWith(Options{MaxIterations: 1})
@@ -107,9 +107,6 @@ func TestIterationLimitSentinel(t *testing.T) {
 	}
 	if !errors.Is(err, ErrIterationLimit) {
 		t.Errorf("err = %v, want ErrIterationLimit", err)
-	}
-	if !errors.Is(err, ErrIterLimit) {
-		t.Errorf("err = %v, want to match the ErrIterLimit alias", err)
 	}
 	if sol.Status != StatusIterLimit {
 		t.Errorf("status = %v, want StatusIterLimit", sol.Status)

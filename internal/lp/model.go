@@ -126,11 +126,6 @@ var (
 	ErrBadModel = errors.New("lp: malformed model")
 )
 
-// ErrIterLimit is the historical name of ErrIterationLimit.
-//
-// Deprecated: use ErrIterationLimit.
-var ErrIterLimit = ErrIterationLimit
-
 // NewModel returns an empty model with the given name and objective sense.
 func NewModel(name string, sense Sense) *Model {
 	return &Model{name: name, sense: sense}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"privcount/internal/core"
 )
@@ -600,5 +601,106 @@ func TestImportOverReadyRacesNoReader(t *testing.T) {
 	close(stop)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeldETag: HeldETag names the copy a node holds — the ready
+// entry's install, else the stored bytes, read as they are — and is a
+// pure read: it admits nothing, touches no LRU stamp (a touch counts a
+// hit), counts no store hit or miss, and quarantines nothing.
+func TestHeldETag(t *testing.T) {
+	gm := Spec{Kind: KindGeometric, N: 8, Alpha: 0.5}
+	other := Spec{Kind: KindGeometric, N: 8, Alpha: 0.25}
+	corrupt := []byte("corrupt artifact")
+	cases := []struct {
+		name string
+		// setup returns the service to ask, the spec to ask for and
+		// the expected answer.
+		setup func(t *testing.T) (svc *Service, spec Spec, etag string, ok bool)
+		// kept, when set, is what the store must still hold for spec.
+		kept []byte
+	}{
+		{"ready", func(t *testing.T) (*Service, Spec, string, bool) {
+			svc := New(Config{Capacity: 4, Store: NewMemStore()})
+			if _, err := svc.Get(gm); err != nil {
+				t.Fatal(err)
+			}
+			etag, err := svc.ExportETag(gm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc, gm, etag, true
+		}, nil},
+		{"evicted, stored", func(t *testing.T) (*Service, Spec, string, bool) {
+			store := NewMemStore()
+			svc := New(Config{Capacity: 1, Shards: 1, Store: store})
+			for _, spec := range []Spec{gm, other} {
+				if _, err := svc.Get(spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := svc.Peek(gm); !errors.Is(err, ErrNotAdmitted) {
+				t.Fatalf("Peek(%s) = %v, want evicted", gm.ID(), err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); store.Len() < 2; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("store holds %d artifacts, want 2", store.Len())
+				}
+			}
+			data, err := store.Get(gm.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return svc, gm, ArtifactETag(data), true
+		}, nil},
+		{"corrupt stored bytes", func(t *testing.T) (*Service, Spec, string, bool) {
+			store := NewMemStore()
+			if err := store.Put(gm.ID(), corrupt); err != nil {
+				t.Fatal(err)
+			}
+			return New(Config{Store: store}), gm, ArtifactETag(corrupt), true
+		}, corrupt},
+		{"nothing stored", func(t *testing.T) (*Service, Spec, string, bool) {
+			return New(Config{Store: NewMemStore()}), gm, "", false
+		}, nil},
+		{"no store", func(t *testing.T) (*Service, Spec, string, bool) {
+			return New(Config{}), gm, "", false
+		}, nil},
+		{"invalid spec", func(t *testing.T) (*Service, Spec, string, bool) {
+			return New(Config{Store: NewMemStore()}), Spec{Kind: Kind(250), N: 4}, "", false
+		}, nil},
+	}
+	// counts projects the Stats a read could move.
+	type counts struct {
+		Entries                                           int
+		Hits, Misses, StoreHits, StoreMisses, Quarantines int64
+	}
+	snapshot := func(svc *Service) counts {
+		st := svc.Stats()
+		return counts{st.Entries, st.Hits, st.Misses, st.StoreHits, st.StoreMisses, st.StoreQuarantines}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, spec, wantETag, wantOK := tc.setup(t)
+			defer svc.Close()
+			before := snapshot(svc)
+			entry, peekErr := svc.Peek(spec)
+
+			etag, ok := svc.HeldETag(spec)
+			if etag != wantETag || ok != wantOK {
+				t.Fatalf("HeldETag = %q, %v; want %q, %v", etag, ok, wantETag, wantOK)
+			}
+			if after := snapshot(svc); after != before {
+				t.Errorf("stats moved: %+v -> %+v", before, after)
+			}
+			if e, err := svc.Peek(spec); e != entry || fmt.Sprint(err) != fmt.Sprint(peekErr) {
+				t.Errorf("Peek moved: (%p, %v) -> (%p, %v)", entry, peekErr, e, err)
+			}
+			if tc.kept != nil {
+				if data, err := svc.store.backend.Get(spec.ID()); err != nil || !bytes.Equal(data, tc.kept) {
+					t.Errorf("stored copy after HeldETag: %q, %v; want %q left in place", data, err, tc.kept)
+				}
+			}
+		})
 	}
 }

@@ -157,30 +157,29 @@ func (s *Service) ExportArtifactTagged(spec Spec, notModified func(etag string) 
 	return data, tag.etag, nil
 }
 
-// StoredIDs lists the Spec IDs the configured store holds, in
-// unspecified order; it is nil when no store is configured.
-func (s *Service) StoredIDs() ([]string, error) {
-	if s.store.backend == nil {
-		return nil, nil
+// HeldETag returns the ETag of the copy of spec this node holds: the
+// ready entry's install ETag (see ExportETag), else the ETag of the
+// bytes the store holds for spec, else ok=false. The store holds
+// canonical encodings, so a stored copy's ETag is the one its entry
+// carries once loaded. The stored bytes are read but neither decoded,
+// verified nor quarantined: a bad artifact is found when a build loads
+// it. HeldETag admits nothing, leaves the LRU order alone and counts no
+// store hit or miss.
+func (s *Service) HeldETag(spec Spec) (etag string, ok bool) {
+	if spec.Validate() != nil {
+		return "", false
 	}
-	return s.store.backend.List()
-}
-
-// StoredETag returns the ETag of the artifact the store holds for spec,
-// or an error wrapping ErrArtifactNotFound when it holds none. The
-// store holds canonical encodings, so this is the ETag the entry's
-// export carries once the artifact is loaded. It reads the bytes but
-// neither decodes nor verifies them: a bad artifact is found, and
-// quarantined, when a build loads it.
-func (s *Service) StoredETag(spec Spec) (string, error) {
+	if etag, err := s.ExportETag(spec); err == nil {
+		return etag, true
+	}
 	if s.store.backend == nil {
-		return "", ErrArtifactNotFound
+		return "", false
 	}
 	data, err := s.store.backend.Get(spec.ID())
 	if err != nil {
-		return "", err
+		return "", false
 	}
-	return ArtifactETag(data), nil
+	return ArtifactETag(data), true
 }
 
 // ImportArtifact installs a pre-built mechanism from its encoded
