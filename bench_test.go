@@ -204,9 +204,9 @@ func BenchmarkDesignChooseN64(b *testing.B) {
 }
 
 // BenchmarkDesignChooseN256 measures the serving-scale cold build the
-// raised service.MaxLPN admits: the WM LP at n=256 through the bounded
-// simplex with presolve and the geometric-vertex crash basis (~6 s/op).
-// Like N64 it yields a single iteration under CI's -benchtime, so it is
+// raised service.MaxLPN admits: the WM LP at n=256, the smallest n the
+// band-reduced path takes (boundary LP through presolve and the bounded
+// simplex; ~0.8 s/op). Like N64 it yields a single iteration under CI's -benchtime, so it is
 // published in BENCH_lp.json but not regression-gated; the enforced
 // guard is TestWMDesignN256UnderBudget's 10 s wall-clock ceiling.
 func BenchmarkDesignChooseN256(b *testing.B) {
@@ -231,6 +231,21 @@ func BenchmarkDesignChooseN1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		design.ClearCache()
 		if _, err := design.Choose(1024, 0.9, core.ColumnMonotone); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDesignChooseN128 measures the LP build path on its own: a
+// cold choose:n=128:a=0.9:CM, which is below the band path's minimum n
+// and so solves the symmetry-reduced WM LP through presolve and the
+// bounded simplex (~1 s/op), memo cleared each iteration. Its B/op and
+// allocs/op track the LP engine's garbage.
+func BenchmarkDesignChooseN128(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		design.ClearCache()
+		if _, err := design.Choose(128, 0.9, core.ColumnMonotone); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func main() {
 		},
 	}
 	if *storeDir != "" {
-		store, err := service.NewFSStore(*storeDir)
+		store, err := openStore(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -145,6 +145,25 @@ func main() {
 	if err := run(ctx, *addr, cfg, ccfg, nil); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// openStore opens the daemon's store directory and, since this process
+// owns it from here on, removes the temp files a Put killed mid-write
+// left behind. A temp file it cannot remove is logged, not fatal: it
+// costs disk space, not correctness.
+func openStore(dir string) (*service.FSStore, error) {
+	store, err := service.NewFSStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	n, err := store.ReapTemps()
+	if err != nil {
+		log.Printf("privcountd: %v", err)
+	}
+	if n > 0 {
+		log.Printf("privcountd: removed %d stale temp file(s) from store %s", n, dir)
+	}
+	return store, nil
 }
 
 // newMux wires the HTTP routes to svc and, when ccfg is non-nil, the

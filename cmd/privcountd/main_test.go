@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -145,5 +148,42 @@ func TestClusterWiring(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("shutdown hung with a cluster node attached")
+	}
+}
+
+// TestOpenStoreReapsTemps plants what a daemon killed mid-Put leaves
+// behind — a staged temp file — next to a stored artifact and a
+// quarantined one, and checks that start-up's openStore removes only
+// the temp file.
+func TestOpenStoreReapsTemps(t *testing.T) {
+	dir := t.TempDir()
+	plant := map[string]bool{ // name -> survives start-up
+		".put-x":                      false,
+		".put-123456":                 false,
+		"gm:n=8:a=0.5.pca":            true,
+		"gm:n=9:a=0.5.pca.corrupt":    true,
+		"unrelated.txt":               true,
+		".hidden-but-not-a-temp-file": true,
+	}
+	for name := range plant {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Dir() != dir {
+		t.Fatalf("store dir %q, want %q", store.Dir(), dir)
+	}
+	for name, survives := range plant {
+		_, err := os.Stat(filepath.Join(dir, name))
+		switch {
+		case survives && err != nil:
+			t.Errorf("%s: %v after start-up, want it untouched", name, err)
+		case !survives && !errors.Is(err, os.ErrNotExist):
+			t.Errorf("%s: still present after start-up (stat err %v)", name, err)
+		}
 	}
 }

@@ -65,7 +65,8 @@ var errRestoreInfeasible = errors.New("lp: perturbed basis infeasible after rest
 const refactorEvery = 60
 
 // eta is one product-form basis update: entering column q replaced the
-// basic variable in row r, with w = B⁻¹·a_q the transformed column.
+// basic variable in row r, with w = B⁻¹·a_q the transformed column. idx
+// and val are capped windows of the bounded run's eta arena.
 type eta struct {
 	r    int
 	diag float64 // w_r, the pivot element
@@ -90,8 +91,13 @@ type bounded struct {
 	basisPos []int  // column -> row position, -1 when nonbasic
 	atUpper  []bool // nonbasic column rests at its upper bound
 
+	// lu is the basis factorization, refactored in place; nil after a
+	// failed refactorization. The eta file's entries live in one arena,
+	// etaIdx/etaVal, reset with it at each refactorization.
 	lu     *mat.SparseLU
 	etas   []eta
+	etaIdx []int32
+	etaVal []float64
 	etaNNZ int
 
 	xB []float64 // values of the basic variables, by row position
@@ -207,8 +213,16 @@ func (bv *bounded) shiftRhsWork(j int, delta float64) {
 	}
 }
 
+// refactorize factors the current basis into bv.lu's storage and
+// empties the eta file. A failed factorization leaves bv.lu nil: every
+// caller either returns the error or refactorizes again.
 func (bv *bounded) refactorize() error {
-	lu, err := mat.FactorSparseCtx(bv.opts.ctx, bv.cf.m, func(k int) ([]int32, []float64) {
+	lu := bv.lu
+	bv.lu = nil
+	if lu == nil {
+		lu = new(mat.SparseLU)
+	}
+	err := lu.Refactor(bv.opts.ctx, bv.cf.m, func(k int) ([]int32, []float64) {
 		return bv.cf.column(bv.basis[k])
 	})
 	if err != nil {
@@ -219,6 +233,8 @@ func (bv *bounded) refactorize() error {
 	}
 	bv.lu = lu
 	bv.etas = bv.etas[:0]
+	bv.etaIdx = bv.etaIdx[:0]
+	bv.etaVal = bv.etaVal[:0]
 	bv.etaNNZ = 0
 	bv.refacts++
 	return nil
@@ -808,37 +824,32 @@ func (bv *bounded) applyPivot(pr, q int, dir, theta float64, leaveAtUp bool) {
 		bv.xB[pr] = bv.cf.ub[q] - theta
 	}
 
-	// Record the eta from the raw transformed column.
-	var e eta
-	e.r = pr
-	e.diag = bv.w[pr]
+	// Record the eta from the raw transformed column, appended to the
+	// arena; the cap keeps a later eta's append off this one's window.
+	start := len(bv.etaIdx)
 	if bv.wDense {
-		nnz := 0
 		for i, v := range bv.w {
 			if v != 0 && i != pr {
-				nnz++
-			}
-		}
-		e.idx = make([]int32, 0, nnz)
-		e.val = make([]float64, 0, nnz)
-		for i, v := range bv.w {
-			if v != 0 && i != pr {
-				e.idx = append(e.idx, int32(i))
-				e.val = append(e.val, v)
+				bv.etaIdx = append(bv.etaIdx, int32(i))
+				bv.etaVal = append(bv.etaVal, v)
 			}
 		}
 	} else {
-		e.idx = make([]int32, 0, len(bv.wPat))
-		e.val = make([]float64, 0, len(bv.wPat))
 		for _, i := range bv.wPat {
 			if v := bv.w[i]; v != 0 && int(i) != pr {
-				e.idx = append(e.idx, i)
-				e.val = append(e.val, v)
+				bv.etaIdx = append(bv.etaIdx, i)
+				bv.etaVal = append(bv.etaVal, v)
 			}
 		}
 	}
-	bv.etas = append(bv.etas, e)
-	bv.etaNNZ += len(e.val)
+	end := len(bv.etaIdx)
+	bv.etas = append(bv.etas, eta{
+		r:    pr,
+		diag: bv.w[pr],
+		idx:  bv.etaIdx[start:end:end],
+		val:  bv.etaVal[start:end:end],
+	})
+	bv.etaNNZ += end - start
 
 	l := bv.basis[pr]
 	bv.basisPos[l] = -1

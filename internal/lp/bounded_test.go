@@ -1,8 +1,12 @@
 package lp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -282,5 +286,34 @@ func TestSetBoundsValidation(t *testing.T) {
 	}
 	if lo, hi := m.Bounds(x); lo != 0.5 || !math.IsInf(hi, 1) {
 		t.Fatalf("Bounds = [%v, %v]", lo, hi)
+	}
+}
+
+// TestBoundedEtaArenaResetsPinned pins, bit for bit, a bounded solve
+// long enough to refactorize — and so reset the eta arena and refactor
+// the basis LU in place — several times: its primal values, duals,
+// pivot and refactorization counts hash to a committed value. The hash
+// is pinned on amd64, where Go never fuses a multiply-add.
+func TestBoundedEtaArenaResetsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("solution hash pinned on amd64")
+	}
+	sol, err := benchDesignModel(16, 0.9).solveBy(Options{Method: MethodSparse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Refactorizations < 3 {
+		t.Fatalf("%d refactorizations; the pin needs at least 3 eta arena resets", sol.Refactorizations)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range append(append([]float64(nil), sol.X...), sol.Duals...) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	got := fmt.Sprintf("%x iters=%d refacts=%d", h.Sum(nil)[:12], sol.Iterations, sol.Refactorizations)
+	const want = "5604fc35c9e86b87285e4257 iters=382 refacts=11"
+	if got != want {
+		t.Fatalf("bounded solve: %s, pinned %s", got, want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file implements a sparse LU factorization in the style of
@@ -21,9 +20,16 @@ import (
 // front (columns ordered by increasing nonzero count, which puts the
 // slack singletons first and keeps fill-in negligible on simplex bases).
 
-// SparseLU is the factorization produced by FactorSparse. It provides
-// in-place dense solves with A and Aᵀ. A SparseLU is not safe for
-// concurrent use: the solves share internal scratch space.
+// SparseLU is a sparse LU factorization of a square matrix, produced by
+// FactorSparse or written in place by Refactor. It provides dense and
+// sparse solves with A and Aᵀ. A SparseLU is not safe for concurrent use:
+// the solves share internal scratch space.
+//
+// Refactor reuses the receiver's storage: L and U are rebuilt within
+// their existing capacity, and the permutations, the elimination and
+// sparse-solve workspaces and the transpose mirrors are kept, so a
+// same-order refactorization allocates nothing once capacity suffices.
+// A change of order reallocates everything.
 type SparseLU struct {
 	n int
 
@@ -43,42 +49,58 @@ type SparseLU struct {
 	// index; cinv is the inverse.
 	cperm, cinv []int
 
+	// scratch is the dense solves' work vector and the elimination's dense
+	// accumulator; each writes an entry before reading it.
 	scratch []float64
+	// bucket holds the counting sort's bucket starts for the column
+	// pre-ordering, one per nonzero count.
+	bucket []int32
 
-	// CSR mirrors of the strictly triangular parts, built once after the
-	// factorization sweep: row r of L (column r of Lᵀ) and row r of U
-	// (column r of Uᵀ). They exist so the sparse transpose solves can walk
-	// dependency edges forward without a per-call transposition.
-	ltp, lti []int32
-	ltx      []float64
-	utp, uti []int32
-	utx      []float64
-	udiag    []float64
+	// CSR mirrors of the strictly triangular parts, built lazily after a
+	// factorization (transposed reports whether they are current): row r
+	// of L (column r of Lᵀ) and row r of U (column r of Uᵀ). They exist so
+	// the sparse transpose solves can walk dependency edges forward
+	// without a per-call transposition.
+	transposed bool
+	ltp, lti   []int32
+	ltx        []float64
+	utp, uti   []int32
+	utx        []float64
+	udiag      []float64
 
-	// Sparse-solve workspaces: a second dense accumulator (kept all-zero
-	// between calls), DFS stacks, visit stamps, and pattern buffers.
-	sx             []float64
-	dstack, pstack []int32
-	topo           []int32 // topological pattern, filled from the top down
-	seedbuf        []int32
-	outpat         []int32
-	marked         []int32
-	stamp          int32
+	// DFS workspaces shared by the elimination's symbolic step and the
+	// sparse solves: the topological pattern (filled from the top down;
+	// the elimination also runs its DFS stack up from the bottom), the
+	// per-node edge cursors, and visit stamps, which only ever advance so
+	// no mark survives into a later search.
+	topo   []int32
+	pstack []int32
+	marked []int32
+	stamp  int32
+
+	// Sparse-solve workspaces, allocated on the first sparse solve: a
+	// second dense accumulator (kept all-zero between calls), the DFS
+	// stack, and pattern buffers.
+	sx      []float64
+	dstack  []int32
+	seedbuf []int32
+	outpat  []int32
 }
 
 // FactorSparse factorizes the n×n sparse matrix whose k-th column is
 // returned by col (row indices and values of the nonzeros; indices need
 // not be sorted but must be unique and in [0, n)). It returns
-// ErrSingular (wrapped) when elimination finds no usable pivot.
+// ErrSingular (wrapped) when elimination finds no usable pivot. It is
+// Refactor on a new SparseLU.
 func FactorSparse(n int, col func(k int) (rows []int32, vals []float64)) (*SparseLU, error) {
 	return FactorSparseCtx(nil, n, col)
 }
 
 // factorCheckEvery is how many elimination columns pass between context
-// checks in FactorSparseCtx: frequent enough that cancelling a
-// serving-scale factorization (tens of thousands of columns) aborts in
-// a few milliseconds of remaining work, rare enough to stay invisible
-// in profiles.
+// checks in Refactor: frequent enough that cancelling a serving-scale
+// factorization (tens of thousands of columns) aborts in a few
+// milliseconds of remaining work, rare enough to stay invisible in
+// profiles.
 const factorCheckEvery = 256
 
 // FactorSparseCtx is FactorSparse with cooperative cancellation: when
@@ -87,57 +109,97 @@ const factorCheckEvery = 256
 // errors.Is(err, context.Canceled) / DeadlineExceeded). A nil ctx means
 // no cancellation, exactly as FactorSparse.
 func FactorSparseCtx(ctx context.Context, n int, col func(k int) (rows []int32, vals []float64)) (*SparseLU, error) {
+	f := new(SparseLU)
+	if err := f.Refactor(ctx, n, col); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor factorizes the n×n matrix given by col, as FactorSparseCtx
+// does, into the receiver's storage. The result is bit-identical to a
+// fresh FactorSparseCtx of the same matrix. On error (ErrShape,
+// ErrSingular, or the context's cause) the receiver holds no
+// factorization — its solves panic — until a later Refactor succeeds.
+func (f *SparseLU) Refactor(ctx context.Context, n int, col func(k int) (rows []int32, vals []float64)) error {
+	f.lp, f.up = f.lp[:0], f.up[:0]
+	f.transposed = false
 	if n <= 0 {
-		return nil, fmt.Errorf("mat: FactorSparse(%d): %w", n, ErrShape)
+		return fmt.Errorf("mat: FactorSparse(%d): %w", n, ErrShape)
 	}
-	f := &SparseLU{
-		n:       n,
-		pinv:    make([]int, n),
-		rperm:   make([]int, n),
-		cperm:   make([]int, n),
-		cinv:    make([]int, n),
-		scratch: make([]float64, n),
+	if n != f.n {
+		*f = SparseLU{
+			n:       n,
+			pinv:    make([]int, n),
+			rperm:   make([]int, n),
+			cperm:   make([]int, n),
+			cinv:    make([]int, n),
+			scratch: make([]float64, n),
+			topo:    make([]int32, n),
+			pstack:  make([]int32, n),
+			marked:  make([]int32, n),
+		}
 	}
-
-	// Column pre-ordering: increasing nonzero count. On simplex bases this
-	// floats the slack/identity singletons to the front where they pivot
-	// without any fill.
-	counts := make([]int, n)
-	for k := 0; k < n; k++ {
-		rows, _ := col(k)
-		counts[k] = len(rows)
-		f.cperm[k] = k
-	}
-	sort.SliceStable(f.cperm, func(a, b int) bool { return counts[f.cperm[a]] < counts[f.cperm[b]] })
-	for pos, k := range f.cperm {
-		f.cinv[k] = pos
-	}
-
+	f.orderColumns(col)
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
+	return f.eliminate(ctx, col)
+}
 
-	// Workspaces for the sparse triangular solve per column.
-	x := make([]float64, n)    // dense accumulator
-	xi := make([]int, n)       // topological pattern stack
-	pstack := make([]int, n)   // DFS position stack
-	marked := make([]int32, n) // visit stamps
-	stamp := int32(0)
+// orderColumns sets the column pre-ordering: increasing nonzero count,
+// ties in column order. On simplex bases this floats the slack/identity
+// singletons to the front where they pivot without any fill. It is a
+// stable counting sort, with cinv holding each column's count until the
+// final pass overwrites it with the column's position.
+func (f *SparseLU) orderColumns(col func(k int) (rows []int32, vals []float64)) {
+	maxCount := 0
+	for k := 0; k < f.n; k++ {
+		rows, _ := col(k)
+		f.cinv[k] = len(rows)
+		maxCount = max(maxCount, len(rows))
+	}
+	f.bucket = resize(f.bucket, maxCount+1)
+	clear(f.bucket)
+	for _, c := range f.cinv {
+		f.bucket[c]++
+	}
+	start := int32(0)
+	for c, cnt := range f.bucket {
+		f.bucket[c] = start
+		start += cnt
+	}
+	for k, c := range f.cinv {
+		pos := f.bucket[c]
+		f.bucket[c]++
+		f.cperm[pos] = k
+		f.cinv[k] = int(pos)
+	}
+}
 
-	f.lp = append(f.lp, 0)
-	f.up = append(f.up, 0)
+// eliminate runs the left-looking elimination sweep over the ordered
+// columns, appending L and U into the receiver's storage.
+func (f *SparseLU) eliminate(ctx context.Context, col func(k int) (rows []int32, vals []float64)) error {
+	n := f.n
+	x, xi, pinv := f.scratch, f.topo, f.pinv
+	lp, li, lx := append(f.lp, 0), f.li[:0], f.lx[:0]
+	up, ui, ux := append(f.up, 0), f.ui[:0], f.ux[:0]
 
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
+	var err error
 	for kpos := 0; kpos < n; kpos++ {
 		if done != nil && kpos%factorCheckEvery == 0 {
 			select {
 			case <-done:
-				return nil, fmt.Errorf("mat: FactorSparse abandoned at column %d of %d: %w",
+				err = fmt.Errorf("mat: FactorSparse abandoned at column %d of %d: %w",
 					kpos, n, context.Cause(ctx))
 			default:
+			}
+			if err != nil {
+				break
 			}
 		}
 		rows, vals := col(f.cperm[kpos])
@@ -145,26 +207,25 @@ func FactorSparseCtx(ctx context.Context, n int, col func(k int) (rows []int32, 
 		// Symbolic step: depth-first search from the column's nonzero rows
 		// through the graph of L to find the nonzero pattern of
 		// x = L⁻¹·a_k in topological order (xi[top:n]).
-		stamp++
+		stamp := f.nextStamp()
 		top := n
 		for _, r := range rows {
-			if marked[r] == stamp {
+			if f.marked[r] == stamp {
 				continue
 			}
-			top = f.reachDFS(int(r), stamp, marked, xi, pstack, top)
+			top = f.reachDFS(r, stamp, lp, li, top)
 		}
 
 		// Numeric step: scatter the column and eliminate in topological
 		// order using the finished columns of L.
-		for p := top; p < n; p++ {
-			x[xi[p]] = 0
+		for _, i := range xi[top:] {
+			x[i] = 0
 		}
 		for i, r := range rows {
 			x[r] = vals[i]
 		}
-		for p := top; p < n; p++ {
-			i := xi[p]
-			jpiv := f.pinv[i]
+		for _, i := range xi[top:] {
+			jpiv := pinv[i]
 			if jpiv < 0 {
 				continue
 			}
@@ -172,154 +233,177 @@ func FactorSparseCtx(ctx context.Context, n int, col func(k int) (rows []int32, 
 			if xj == 0 {
 				continue
 			}
-			for q := f.lp[jpiv] + 1; q < f.lp[jpiv+1]; q++ {
-				x[f.li[q]] -= f.lx[q] * xj
+			for q := lp[jpiv] + 1; q < lp[jpiv+1]; q++ {
+				x[li[q]] -= lx[q] * xj
 			}
 		}
 
 		// Partial pivoting: the largest-magnitude entry among rows not yet
 		// pivoted. Entries in already-pivoted rows belong to U.
-		ipiv, pivMag := -1, 0.0
-		for p := top; p < n; p++ {
-			i := xi[p]
-			if f.pinv[i] < 0 {
+		ipiv, pivMag := int32(-1), 0.0
+		for _, i := range xi[top:] {
+			if pinv[i] < 0 {
 				if a := math.Abs(x[i]); a > pivMag {
 					pivMag, ipiv = a, i
 				}
 			}
 		}
 		if ipiv < 0 || pivMag < 1e-13 {
-			return nil, fmt.Errorf("mat: FactorSparse: column %d (pivot %g): %w", f.cperm[kpos], pivMag, ErrSingular)
+			err = fmt.Errorf("mat: FactorSparse: column %d (pivot %g): %w", f.cperm[kpos], pivMag, ErrSingular)
+			break
 		}
-		f.pinv[ipiv] = kpos
-		f.rperm[kpos] = ipiv
+		pinv[ipiv] = kpos
+		f.rperm[kpos] = int(ipiv)
 		pivVal := x[ipiv]
 
 		// Emit U column kpos (rows above the diagonal, in pivot space),
 		// diagonal last; then L column kpos (unit diagonal first, then the
 		// scaled subdiagonal entries, still carrying original row indices —
 		// they are remapped to pivot space once the sweep finishes).
-		for p := top; p < n; p++ {
-			i := xi[p]
-			if jp := f.pinv[i]; jp >= 0 && jp < kpos {
+		for _, i := range xi[top:] {
+			if jp := pinv[i]; jp >= 0 && jp < kpos {
 				if x[i] != 0 {
-					f.ui = append(f.ui, int32(jp))
-					f.ux = append(f.ux, x[i])
+					ui = append(ui, int32(jp))
+					ux = append(ux, x[i])
 				}
 			}
 		}
-		f.ui = append(f.ui, int32(kpos))
-		f.ux = append(f.ux, pivVal)
-		f.up = append(f.up, int32(len(f.ui)))
+		ui = append(ui, int32(kpos))
+		ux = append(ux, pivVal)
+		up = append(up, int32(len(ui)))
 
-		f.li = append(f.li, int32(ipiv)) // diagonal, value 1
-		f.lx = append(f.lx, 1)
-		for p := top; p < n; p++ {
-			i := xi[p]
-			if f.pinv[i] < 0 && x[i] != 0 {
-				f.li = append(f.li, int32(i))
-				f.lx = append(f.lx, x[i]/pivVal)
+		li = append(li, ipiv) // diagonal, value 1
+		lx = append(lx, 1)
+		for _, i := range xi[top:] {
+			if pinv[i] < 0 && x[i] != 0 {
+				li = append(li, i)
+				lx = append(lx, x[i]/pivVal)
 			}
 		}
-		f.lp = append(f.lp, int32(len(f.li)))
+		lp = append(lp, int32(len(li)))
+	}
+	f.li, f.lx, f.ui, f.ux = li, lx, ui, ux
+	if err != nil {
+		f.lp, f.up = lp[:0], up[:0]
+		return err
 	}
 
 	// Remap L's row indices from original to pivot-position space so the
 	// triangular solves can run without indirection.
-	for p := range f.li {
-		f.li[p] = int32(f.pinv[f.li[p]])
+	for p, i := range li {
+		li[p] = int32(pinv[i])
 	}
-	return f, nil
+	f.lp, f.up = lp, up
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ensureSparseKernels lazily builds the CSR transpose mirrors and the
-// sparse-solve workspaces on the first FtranSparse/BtranSparse call, so
-// callers that only ever use the dense solves (the unbounded oracle
-// path) pay neither the O(nnz) transposition nor the doubled factor
-// memory.
+// sparse-solve workspaces on the first FtranSparse/BtranSparse call
+// after a factorization, so callers that only ever use the dense solves
+// (the unbounded oracle path) pay neither the O(nnz) transposition nor
+// the doubled factor memory.
 func (f *SparseLU) ensureSparseKernels() {
-	if f.marked == nil {
-		f.buildTranspose()
+	if f.transposed {
+		return
 	}
+	if f.sx == nil {
+		f.sx = make([]float64, f.n)
+		f.dstack = make([]int32, f.n)
+		f.seedbuf = make([]int32, 0, f.n)
+		f.outpat = make([]int32, 0, f.n)
+	}
+	f.buildTranspose()
+	f.transposed = true
 }
 
 // buildTranspose fills the CSR mirrors of the strictly triangular parts
-// of L and U plus the U diagonal, enabling the sparse transpose solves.
+// of L and U plus the U diagonal, within their existing capacity.
 func (f *SparseLU) buildTranspose() {
 	n := f.n
-	f.udiag = make([]float64, n)
-	lCounts := make([]int32, n)
-	uCounts := make([]int32, n)
+	f.udiag = resize(f.udiag, n)
+	f.ltp = resize(f.ltp, n+1)
+	f.utp = resize(f.utp, n+1)
+	clear(f.ltp)
+	clear(f.utp)
+	// Count each row's entries into the pointer slot after it, then
+	// prefix-sum so ltp[i]/utp[i] is row i's start.
 	for j := 0; j < n; j++ {
 		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
-			lCounts[f.li[p]]++
+			f.ltp[f.li[p]+1]++
 		}
 		last := f.up[j+1] - 1
 		f.udiag[j] = f.ux[last]
 		for p := f.up[j]; p < last; p++ {
-			uCounts[f.ui[p]]++
+			f.utp[f.ui[p]+1]++
 		}
 	}
-	f.ltp = make([]int32, n+1)
-	f.utp = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		f.ltp[i+1] = f.ltp[i] + lCounts[i]
-		f.utp[i+1] = f.utp[i] + uCounts[i]
+		f.ltp[i+1] += f.ltp[i]
+		f.utp[i+1] += f.utp[i]
 	}
-	f.lti = make([]int32, f.ltp[n])
-	f.ltx = make([]float64, f.ltp[n])
-	f.uti = make([]int32, f.utp[n])
-	f.utx = make([]float64, f.utp[n])
-	lNext := append([]int32(nil), f.ltp[:n]...)
-	uNext := append([]int32(nil), f.utp[:n]...)
+	f.lti = resize(f.lti, int(f.ltp[n]))
+	f.ltx = resize(f.ltx, int(f.ltp[n]))
+	f.uti = resize(f.uti, int(f.utp[n]))
+	f.utx = resize(f.utx, int(f.utp[n]))
+	// Scatter column by column, using each row's start as its fill
+	// cursor; afterwards ltp[i] holds row i's end, so shift the pointers
+	// back by one row.
 	for j := 0; j < n; j++ {
 		for p := f.lp[j] + 1; p < f.lp[j+1]; p++ {
 			i := f.li[p]
-			q := lNext[i]
+			q := f.ltp[i]
 			f.lti[q] = int32(j)
 			f.ltx[q] = f.lx[p]
-			lNext[i] = q + 1
+			f.ltp[i] = q + 1
 		}
 		last := f.up[j+1] - 1
 		for p := f.up[j]; p < last; p++ {
 			i := f.ui[p]
-			q := uNext[i]
+			q := f.utp[i]
 			f.uti[q] = int32(j)
 			f.utx[q] = f.ux[p]
-			uNext[i] = q + 1
+			f.utp[i] = q + 1
 		}
 	}
-
-	f.sx = make([]float64, n)
-	f.dstack = make([]int32, n)
-	f.pstack = make([]int32, n)
-	f.topo = make([]int32, n)
-	f.seedbuf = make([]int32, 0, n)
-	f.outpat = make([]int32, 0, n)
-	f.marked = make([]int32, n)
+	copy(f.ltp[1:], f.ltp[:n])
+	copy(f.utp[1:], f.utp[:n])
+	f.ltp[0], f.utp[0] = 0, 0
 }
 
-// reachDFS walks the graph of L from original row r, pushing newly
-// finished nodes onto xi from position top downward; it returns the new
-// top. Nodes are original row indices; a pivoted row i continues into the
-// subdiagonal pattern of L's column pinv[i].
-func (f *SparseLU) reachDFS(r int, stamp int32, marked []int32, xi, pstack []int, top int) int {
+// reachDFS walks the graph of L (given as the sweep's lp/li so far) from
+// original row r, pushing newly finished nodes onto f.topo from position
+// top downward, and returns the new top. The DFS stack runs up from the
+// bottom of the same array: a node is on the stack or finished, never
+// both, so the two never meet. Nodes are original row indices; a pivoted
+// row i continues into the subdiagonal pattern of L's column pinv[i].
+func (f *SparseLU) reachDFS(r, stamp int32, lp, li []int32, top int) int {
+	xi, pstack, marked, pinv := f.topo, f.pstack, f.marked, f.pinv
 	head := 0
 	xi[0] = r
 	for head >= 0 {
 		i := xi[head]
+		jpiv := pinv[i]
 		if marked[i] != stamp {
 			marked[i] = stamp
-			if f.pinv[i] < 0 {
+			if jpiv < 0 {
 				pstack[head] = 0 // unpivoted: terminal
 			} else {
-				pstack[head] = int(f.lp[f.pinv[i]]) + 1 // skip unit diagonal
+				pstack[head] = lp[jpiv] + 1 // skip unit diagonal
 			}
 		}
 		done := true
-		if jpiv := f.pinv[i]; jpiv >= 0 {
-			for p := pstack[head]; p < int(f.lp[jpiv+1]); p++ {
-				child := int(f.li[p])
+		if jpiv >= 0 {
+			for p := pstack[head]; p < lp[jpiv+1]; p++ {
+				child := li[p]
 				if marked[child] != stamp {
 					pstack[head] = p + 1
 					head++
@@ -350,18 +434,29 @@ const (
 	triLT                 // CSR L (strictly lower), unit diagonal implicit
 )
 
-// triEdges returns the adjacency slices of node j in the given triangle:
-// the nodes whose values a finished x[j] updates.
-func (f *SparseLU) triEdges(tr triangle, j int32) (idx []int32, val []float64) {
+// triView is one triangle resolved for a solve: node j's edges — the
+// nodes whose values a finished x[j] updates — are idx[ptr[j]+lo :
+// ptr[j+1]-hi] with matching val, where lo and hi trim a diagonal stored
+// at the column's start or end. divide marks the U triangles, whose
+// solves divide by udiag.
+type triView struct {
+	ptr, idx []int32
+	val      []float64
+	lo, hi   int32
+	divide   bool
+}
+
+// view resolves triangle tr against the current factors.
+func (f *SparseLU) view(tr triangle) triView {
 	switch tr {
 	case triL:
-		return f.li[f.lp[j]+1 : f.lp[j+1]], f.lx[f.lp[j]+1 : f.lp[j+1]]
+		return triView{ptr: f.lp, idx: f.li, val: f.lx, lo: 1}
 	case triU:
-		return f.ui[f.up[j] : f.up[j+1]-1], f.ux[f.up[j] : f.up[j+1]-1]
+		return triView{ptr: f.up, idx: f.ui, val: f.ux, hi: 1, divide: true}
 	case triUT:
-		return f.uti[f.utp[j]:f.utp[j+1]], f.utx[f.utp[j]:f.utp[j+1]]
+		return triView{ptr: f.utp, idx: f.uti, val: f.utx, divide: true}
 	default:
-		return f.lti[f.ltp[j]:f.ltp[j+1]], f.ltx[f.ltp[j]:f.ltp[j+1]]
+		return triView{ptr: f.ltp, idx: f.lti, val: f.ltx}
 	}
 }
 
@@ -370,9 +465,7 @@ func (f *SparseLU) triEdges(tr triangle, j int32) (idx []int32, val []float64) {
 func (f *SparseLU) nextStamp() int32 {
 	f.stamp++
 	if f.stamp == math.MaxInt32 {
-		for i := range f.marked {
-			f.marked[i] = 0
-		}
+		clear(f.marked)
 		f.stamp = 1
 	}
 	return f.stamp
@@ -381,31 +474,32 @@ func (f *SparseLU) nextStamp() int32 {
 // triReach computes the set of nodes reachable from seed through the
 // triangle's dependency edges — the nonzero pattern of the triangular
 // solve — in topological order, stored in f.topo[top:n]. It returns top.
-func (f *SparseLU) triReach(tr triangle, seed []int32) int {
+func (f *SparseLU) triReach(t *triView, seed []int32) int {
 	stamp := f.nextStamp()
+	ptr, idx, lo, hi := t.ptr, t.idx, t.lo, t.hi
+	dstack, pstack, topo, marked := f.dstack, f.pstack, f.topo, f.marked
 	top := f.n
 	for _, r := range seed {
-		if f.marked[r] == stamp {
+		if marked[r] == stamp {
 			continue
 		}
 		// Iterative DFS: a node is pushed to topo once all its children are
 		// done, so topo[top:n] lists every node before its dependents.
 		head := 0
-		f.dstack[0] = r
+		dstack[0] = r
 		for head >= 0 {
-			j := f.dstack[head]
-			if f.marked[j] != stamp {
-				f.marked[j] = stamp
-				f.pstack[head] = 0
+			j := dstack[head]
+			if marked[j] != stamp {
+				marked[j] = stamp
+				pstack[head] = ptr[j] + lo
 			}
-			idx, _ := f.triEdges(tr, j)
 			descended := false
-			for p := f.pstack[head]; int(p) < len(idx); p++ {
+			for p, end := pstack[head], ptr[j+1]-hi; p < end; p++ {
 				child := idx[p]
-				if f.marked[child] != stamp {
-					f.pstack[head] = p + 1
+				if marked[child] != stamp {
+					pstack[head] = p + 1
 					head++
-					f.dstack[head] = child
+					dstack[head] = child
 					descended = true
 					break
 				}
@@ -413,7 +507,7 @@ func (f *SparseLU) triReach(tr triangle, seed []int32) int {
 			if !descended {
 				head--
 				top--
-				f.topo[top] = j
+				topo[top] = j
 			}
 		}
 	}
@@ -424,21 +518,19 @@ func (f *SparseLU) triReach(tr triangle, seed []int32) int {
 // topologically ordered pattern f.topo[top:n] against the dense-scattered
 // accumulator x (indexed in pivot space). Divide-by-diagonal happens for
 // the U-involving triangles before the scatter.
-func (f *SparseLU) triSolveSparse(tr triangle, top int, x []float64) {
-	divide := tr == triU || tr == triUT
-	for p := top; p < f.n; p++ {
-		j := f.topo[p]
+func (f *SparseLU) triSolveSparse(t *triView, top int, x []float64) {
+	ptr, idx, val, lo, hi := t.ptr, t.idx, t.val, t.lo, t.hi
+	for _, j := range f.topo[top:f.n] {
 		xj := x[j]
-		if divide {
+		if t.divide {
 			xj /= f.udiag[j]
 			x[j] = xj
 		}
 		if xj == 0 {
 			continue
 		}
-		idx, val := f.triEdges(tr, j)
-		for q, i := range idx {
-			x[i] -= val[q] * xj
+		for q, end := ptr[j]+lo, ptr[j+1]-hi; q < end; q++ {
+			x[idx[q]] -= val[q] * xj
 		}
 	}
 }
@@ -470,8 +562,9 @@ func (f *SparseLU) FtranSparse(x []float64, pat []int32) []int32 {
 		x[i] = 0
 		f.seedbuf = append(f.seedbuf, j)
 	}
-	top := f.triReach(triL, f.seedbuf)
-	f.triSolveSparse(triL, top, s)
+	l := f.view(triL)
+	top := f.triReach(&l, f.seedbuf)
+	f.triSolveSparse(&l, top, s)
 	if (n-top)*sparsityCut > n {
 		// Pattern filled in: finish with the dense backward solve. s holds
 		// y = L⁻¹Pb exactly (untouched entries are zero).
@@ -494,8 +587,9 @@ func (f *SparseLU) FtranSparse(x []float64, pat []int32) []int32 {
 	}
 	// The L pattern seeds the U reach; copy it out before topo is reused.
 	f.seedbuf = append(f.seedbuf[:0], f.topo[top:n]...)
-	top = f.triReach(triU, f.seedbuf)
-	f.triSolveSparse(triU, top, s)
+	u := f.view(triU)
+	top = f.triReach(&u, f.seedbuf)
+	f.triSolveSparse(&u, top, s)
 	f.outpat = f.outpat[:0]
 	for p := top; p < n; p++ {
 		j := f.topo[p]
@@ -526,8 +620,9 @@ func (f *SparseLU) BtranSparse(x []float64, pat []int32) []int32 {
 		x[c] = 0
 		f.seedbuf = append(f.seedbuf, j)
 	}
-	top := f.triReach(triUT, f.seedbuf)
-	f.triSolveSparse(triUT, top, s)
+	ut := f.view(triUT)
+	top := f.triReach(&ut, f.seedbuf)
+	f.triSolveSparse(&ut, top, s)
 	if (n-top)*sparsityCut > n {
 		// Dense finish: s holds v = U⁻ᵀ(Q-permuted c) exactly; run the
 		// dense backward Lᵀ solve and permute out.
@@ -547,8 +642,9 @@ func (f *SparseLU) BtranSparse(x []float64, pat []int32) []int32 {
 		return nil
 	}
 	f.seedbuf = append(f.seedbuf[:0], f.topo[top:n]...)
-	top = f.triReach(triLT, f.seedbuf)
-	f.triSolveSparse(triLT, top, s)
+	lt := f.view(triLT)
+	top = f.triReach(&lt, f.seedbuf)
+	f.triSolveSparse(&lt, top, s)
 	f.outpat = f.outpat[:0]
 	for p := top; p < n; p++ {
 		j := f.topo[p]

@@ -49,6 +49,11 @@ type Quarantiner interface {
 // fsync, and rename, so concurrent readers and a crash mid-Put can
 // only ever observe the old artifact or the complete new one.
 // Quarantined artifacts are renamed to <spec-id>.pca.corrupt.
+//
+// One process per store directory: a daemon owns its store while it
+// runs. Other processes may open the directory to read, but only the
+// owner may Put, and ReapTemps runs in the owner at start-up, before
+// it serves, when no Put can be in flight.
 type FSStore struct {
 	dir string
 }
@@ -56,6 +61,7 @@ type FSStore struct {
 const (
 	fsArtifactSuffix   = ".pca"
 	fsQuarantineSuffix = ".pca.corrupt"
+	fsTempPrefix       = ".put-"
 )
 
 // NewFSStore opens (creating if needed) dir as an artifact store.
@@ -111,7 +117,7 @@ func (s *FSStore) Put(id string, data []byte) error {
 	if err := s.checkID(id); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
+	tmp, err := os.CreateTemp(s.dir, fsTempPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("service: stage artifact %s: %w", id, err)
 	}
@@ -141,6 +147,33 @@ func (s *FSStore) Put(id string, data []byte) error {
 	}
 	published = true
 	return s.syncDir()
+}
+
+// ReapTemps removes the temp files Puts staged and never renamed — left
+// behind when a process died between staging and publishing — and
+// returns how many it removed. Artifacts and quarantined copies are
+// untouched. It must not run while another process may Put into the
+// directory: an in-flight Put's temp file looks the same as a dead
+// one's. privcountd calls it once at start-up; NewFSStore does not,
+// because tools open a live daemon's store to read it.
+func (s *FSStore) ReapTemps() (int, error) {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return 0, fmt.Errorf("service: reap store temp files: %w", err)
+	}
+	removed := 0
+	var errs []error
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasPrefix(e.Name(), fsTempPrefix) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
+			errs = append(errs, fmt.Errorf("service: reap store temp file %s: %w", e.Name(), err))
+			continue
+		}
+		removed++
+	}
+	return removed, errors.Join(errs...)
 }
 
 // Delete removes the stored artifact for id; a missing artifact is not

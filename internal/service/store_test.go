@@ -520,6 +520,42 @@ func TestFSStoreErrorPaths(t *testing.T) {
 	}
 }
 
+// TestFSStoreOpenLeavesTempsToOwner pins that opening a store reaps
+// nothing — another process may be opening a live daemon's store, whose
+// in-flight Put owns its temp file — while ReapTemps removes only the
+// temp files, and ReapTemps of a vanished directory fails.
+func TestFSStoreOpenLeavesTempsToOwner(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{".put-1", "um:n=4.pca", "um:n=5.pca.corrupt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := NewFSStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ".put-1")); err != nil {
+		t.Fatalf("NewFSStore touched a temp file: %v", err)
+	}
+	if n, err := st.ReapTemps(); n != 1 || err != nil {
+		t.Fatalf("ReapTemps = %d, %v; want 1, nil", n, err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 2 || left[0].Name() != "um:n=4.pca" || left[1].Name() != "um:n=5.pca.corrupt" {
+		t.Fatalf("after ReapTemps the store holds %v", left)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ReapTemps(); err == nil {
+		t.Error("ReapTemps of a removed directory should fail")
+	}
+}
+
 // failingPutStore serves reads but refuses writes — a full disk, say.
 type failingPutStore struct{}
 
