@@ -825,7 +825,8 @@ func (bv *bounded) applyPivot(pr, q int, dir, theta float64, leaveAtUp bool) {
 	}
 
 	// Record the eta from the raw transformed column, appended to the
-	// arena; the cap keeps a later eta's append off this one's window.
+	// arena. Each window is capped at its own length, so an append to one
+	// can never write into the next.
 	start := len(bv.etaIdx)
 	if bv.wDense {
 		for i, v := range bv.w {
